@@ -93,12 +93,19 @@ func newBenchTables(b *testing.B, backend Backend) *Tables {
 //     update is a single→multiple promotion with its demotion chain.
 //   - evict: fresh objects touched three times, driving constant caching-
 //     table admission and worst-case demotion once the cache is full.
+//   - scattered: five tables used in turn, as five proxies share one
+//     simulation; each update picks a random resident object of its table,
+//     or (30%) a never-seen one-timer. The working set is far larger than
+//     the CPU caches, so every probe pays the cache misses the other mixes
+//     hide by touching the same few lines over and over.
 func BenchmarkTablesUpdate(b *testing.B) {
 	mixes := []struct {
-		name string
-		run  func(b *testing.B, tbl *Tables, now int64)
+		name   string
+		tables int
+		run    func(b *testing.B, tbls []*Tables, now int64)
 	}{
-		{"hit", func(b *testing.B, tbl *Tables, now int64) {
+		{"hit", 1, func(b *testing.B, tbls []*Tables, now int64) {
+			tbl := tbls[0]
 			cached := tbl.Caching().Entries()
 			if len(cached) == 0 {
 				b.Fatal("prefill left the caching table empty")
@@ -113,7 +120,8 @@ func BenchmarkTablesUpdate(b *testing.B) {
 				tbl.Recycle(tbl.Update(objs[i%len(objs)], ids.NodeID(i%5), now))
 			}
 		}},
-		{"miss", func(b *testing.B, tbl *Tables, now int64) {
+		{"miss", 1, func(b *testing.B, tbls []*Tables, now int64) {
+			tbl := tbls[0]
 			next := uint64(1 << 40) // disjoint from every prefill object
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -122,7 +130,8 @@ func BenchmarkTablesUpdate(b *testing.B) {
 				tbl.Recycle(tbl.Update(ids.ObjectID(next), ids.NodeID(i%5), now))
 			}
 		}},
-		{"promote", func(b *testing.B, tbl *Tables, now int64) {
+		{"promote", 1, func(b *testing.B, tbls []*Tables, now int64) {
+			tbl := tbls[0]
 			next := uint64(1 << 40)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -133,7 +142,8 @@ func BenchmarkTablesUpdate(b *testing.B) {
 				tbl.Recycle(tbl.Update(ids.ObjectID(next), ids.NodeID(i%5), now))
 			}
 		}},
-		{"evict", func(b *testing.B, tbl *Tables, now int64) {
+		{"evict", 1, func(b *testing.B, tbls []*Tables, now int64) {
+			tbl := tbls[0]
 			next := uint64(1 << 40)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -144,14 +154,54 @@ func BenchmarkTablesUpdate(b *testing.B) {
 				tbl.Recycle(tbl.Update(ids.ObjectID(next), ids.NodeID(i%5), now))
 			}
 		}},
+		{"scattered", 5, func(b *testing.B, tbls []*Tables, now int64) {
+			// seq[p] is table p's pick sequence, drawn before the
+			// timer starts; oneTimer marks a never-seen object.
+			const oneTimer = ^ids.ObjectID(0)
+			rng := rand.New(rand.NewSource(5))
+			seq := make([][]ids.ObjectID, len(tbls))
+			for p, tbl := range tbls {
+				var resident []ids.ObjectID
+				collect := func(e *Entry) bool {
+					resident = append(resident, e.Object)
+					return true
+				}
+				tbl.Caching().Each(collect)
+				tbl.Multiple().Each(collect)
+				tbl.Single().Each(collect)
+				seq[p] = make([]ids.ObjectID, 1<<16)
+				for i := range seq[p] {
+					seq[p][i] = oneTimer
+					if rng.Intn(10) >= 3 {
+						seq[p][i] = resident[rng.Intn(len(resident))]
+					}
+				}
+			}
+			next := ids.ObjectID(1 << 40)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now++
+				p := i % len(tbls)
+				obj := seq[p][(i/len(tbls))&(1<<16-1)]
+				if obj == oneTimer {
+					next++
+					obj = next
+				}
+				tbls[p].Recycle(tbls[p].Update(obj, ids.NodeID(p), now))
+			}
+		}},
 	}
 	for _, backend := range benchBackends {
 		for _, mix := range mixes {
 			b.Run(backend.String()+"/"+mix.name, func(b *testing.B) {
-				tbl := newBenchTables(b, backend)
-				now := benchFill(tbl, 25_000, 200_000)
+				tbls := make([]*Tables, mix.tables)
+				var now int64
+				for i := range tbls {
+					tbls[i] = newBenchTables(b, backend)
+					now = benchFill(tbls[i], 25_000, 200_000)
+				}
 				b.ReportAllocs()
-				mix.run(b, tbl, now)
+				mix.run(b, tbls, now)
 			})
 		}
 	}

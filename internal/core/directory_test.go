@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 // TestDirectoryConsistency: after arbitrary churn the unified directory
 // must agree exactly with the union of the three tables — same objects,
-// same kinds, same entry pointers.
+// same entry pointers, and every entry's kind naming its table.
 func TestDirectoryConsistency(t *testing.T) {
 	for _, admitAll := range []bool{false, true} {
 		name := "adc"
@@ -32,30 +33,202 @@ func TestDirectoryConsistency(t *testing.T) {
 				out := tbl.Update(ids.ObjectID(rng.Intn(120)), ids.NodeID(rng.Intn(4)), i)
 				tbl.Recycle(out)
 			}
-			want := make(map[ids.ObjectID]slot)
-			collect := func(kind Kind, each func(func(*Entry) bool)) {
-				each(func(e *Entry) bool {
-					if _, dup := want[e.Object]; dup {
-						t.Fatalf("object %v present in two tables", e.Object)
-					}
-					want[e.Object] = slot{kind: kind, entry: e}
-					return true
-				})
+			checkDirectory(t, tbl)
+		})
+	}
+}
+
+// residents walks the three tables and returns every resident entry by
+// object, failing on an object held twice or an entry whose kind does not
+// name the table holding it.
+func residents(t *testing.T, tbl *Tables) map[ids.ObjectID]*Entry {
+	t.Helper()
+	all := make(map[ids.ObjectID]*Entry)
+	walk := func(kind Kind, each func(func(*Entry) bool)) {
+		each(func(e *Entry) bool {
+			if _, dup := all[e.Object]; dup {
+				t.Fatalf("object %v present in two tables", e.Object)
 			}
-			collect(KindCaching, tbl.caching.Each)
-			collect(KindMultiple, tbl.multiple.Each)
-			collect(KindSingle, tbl.single.Each)
-			if len(tbl.dir) != len(want) {
-				t.Fatalf("directory has %d objects, tables have %d", len(tbl.dir), len(want))
+			if e.kind != kind {
+				t.Fatalf("object %v sits in the %v table but its kind reads %v", e.Object, kind, e.kind)
 			}
-			for obj, s := range want {
-				got := tbl.dir[obj]
-				if got.kind != s.kind || got.entry != s.entry {
-					t.Errorf("dir[%v] = {%v %p}, tables say {%v %p}",
-						obj, got.kind, got.entry, s.kind, s.entry)
+			all[e.Object] = e
+			return true
+		})
+	}
+	walk(KindCaching, tbl.caching.Each)
+	walk(KindMultiple, tbl.multiple.Each)
+	walk(KindSingle, tbl.single.Each)
+	return all
+}
+
+// checkDirectory asserts the directory holds exactly the tables' residents,
+// each under its own object, and returns the residents.
+func checkDirectory(t *testing.T, tbl *Tables) map[ids.ObjectID]*Entry {
+	t.Helper()
+	all := residents(t, tbl)
+	for obj, e := range all {
+		if got := tbl.dir.get(obj); got != e {
+			t.Fatalf("dir.get(%v) = %p, tables hold %p", obj, got, e)
+		}
+	}
+	live := 0
+	for _, s := range tbl.dir.slots {
+		if s.e == nil {
+			continue
+		}
+		live++
+		if all[s.obj] != s.e {
+			t.Fatalf("directory slot for %v points at an entry no table holds", s.obj)
+		}
+	}
+	if live != len(all) {
+		t.Fatalf("directory has %d objects, tables have %d", live, len(all))
+	}
+	return all
+}
+
+// longestRun returns the longest distance any recorded object sits from
+// its home slot, plus one: the worst-case probe count of a successful get.
+func longestRun(d *directory) int {
+	longest := 0
+	for i, s := range d.slots {
+		if s.e == nil {
+			continue
+		}
+		if n := int((uint64(i)-d.home(s.obj))&d.mask) + 1; n > longest {
+			longest = n
+		}
+	}
+	return longest
+}
+
+// maxProbeRun bounds longestRun in the tests below. The directory's load
+// factor stays at or below one half, where a probe run this long has
+// negligible probability under any seed.
+const maxProbeRun = 48
+
+// TestDirectoryProperty drives random sequences of every operation that
+// moves entries — Update (selective and CacheAdmitAll), ForceCache,
+// DropCached and Invalidate — against a reference Go map of the objects the
+// outcomes say the tables should know, and after every step asserts that
+// directory and table membership agree, that every resident's kind matches
+// its table, that entries back in the arena read KindNone, and that the
+// longest probe run stays bounded. Object IDs are drawn dense and, in a
+// second pass, strided by 2^32 — the shape a weak hash folds into one run.
+func TestDirectoryProperty(t *testing.T) {
+	for _, admitAll := range []bool{false, true} {
+		for _, shift := range []uint{0, 32} {
+			name := fmt.Sprintf("admitAll=%v/shift=%d", admitAll, shift)
+			t.Run(name, func(t *testing.T) {
+				runDirectoryProperty(t, admitAll, shift)
+			})
+		}
+	}
+}
+
+func runDirectoryProperty(t *testing.T, admitAll bool, shift uint) {
+	tbl, err := NewTables(Config{
+		SingleSize: 40, MultipleSize: 25, CachingSize: 15,
+		CacheAdmitAll: admitAll,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := make(map[ids.ObjectID]bool)
+	rng := rand.New(rand.NewSource(int64(shift) + 11))
+	for step := int64(1); step <= 30000; step++ {
+		obj := ids.ObjectID(rng.Intn(200)) << shift
+		loc := ids.NodeID(rng.Intn(5))
+		_, before := tbl.Lookup(obj)
+		var out Outcome
+		switch op := rng.Intn(10); {
+		case op < 6:
+			out = tbl.Update(obj, loc, step)
+			ref[obj] = true
+		case op < 7:
+			out, _ = tbl.ForceCache(obj, loc, step, int64(rng.Intn(50)))
+			ref[obj] = true
+		case op < 8:
+			var dropped bool
+			out, dropped = tbl.DropCached(obj, loc)
+			if dropped != (before == KindCaching) {
+				t.Fatalf("step %d: DropCached(%v) = %v for a %v entry", step, obj, dropped, before)
+			}
+		default:
+			e, _ := tbl.Lookup(obj)
+			removed := tbl.Invalidate(obj)
+			if removed != (before == KindSingle || before == KindMultiple) {
+				t.Fatalf("step %d: Invalidate(%v) = %v for a %v entry", step, obj, removed, before)
+			}
+			if removed {
+				delete(ref, obj)
+				if e.kind != KindNone {
+					t.Fatalf("step %d: invalidated entry reads kind %v", step, e.kind)
 				}
 			}
-		})
+		}
+		if d := out.Dropped; d != nil {
+			delete(ref, d.Object)
+			if d.kind != KindNone {
+				t.Fatalf("step %d: dropped entry %v still reads kind %v", step, d.Object, d.kind)
+			}
+		}
+		tbl.Recycle(out)
+
+		all := checkDirectory(t, tbl)
+		if len(all) != len(ref) {
+			t.Fatalf("step %d: tables hold %d objects, reference %d", step, len(all), len(ref))
+		}
+		for o := range ref {
+			if all[o] == nil {
+				t.Fatalf("step %d: reference object %v missing from the tables", step, o)
+			}
+		}
+		if e, kind := tbl.Lookup(obj); e != nil && out.To != KindNone && out.Dropped != e && kind != out.To {
+			t.Fatalf("step %d: %v ended in %v, outcome says %v", step, obj, kind, out.To)
+		}
+		for _, e := range tbl.arena.free {
+			if e.kind != KindNone {
+				t.Fatalf("step %d: recycled entry reads kind %v", step, e.kind)
+			}
+		}
+		if n := longestRun(tbl.dir); n > maxProbeRun {
+			t.Fatalf("step %d: probe run of %d slots", step, n)
+		}
+	}
+}
+
+// TestDirectoryAdversarialIDs fills a reference-shaped directory with
+// strided object IDs under several fixed seeds (zero included) and checks
+// that probe runs stay short and that deleting every other object keeps
+// the rest reachable.
+func TestDirectoryAdversarialIDs(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 0x9E3779B97F4A7C15, ^uint64(0)} {
+		for _, stride := range []uint{12, 32, 48} {
+			d := newDirectory(5000)
+			d.seed = seed
+			entries := make([]Entry, 5000)
+			for k := range entries {
+				entries[k].Object = ids.ObjectID(k) << stride
+				d.put(&entries[k])
+			}
+			if n := longestRun(d); n > maxProbeRun {
+				t.Errorf("seed %#x stride %d: probe run of %d slots", seed, stride, n)
+			}
+			for k := 0; k < len(entries); k += 2 {
+				d.del(entries[k].Object)
+			}
+			for k := range entries {
+				want := &entries[k]
+				if k%2 == 0 {
+					want = nil
+				}
+				if got := d.get(entries[k].Object); got != want {
+					t.Fatalf("seed %#x stride %d: get(%v) = %p, want %p", seed, stride, entries[k].Object, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -241,26 +414,58 @@ const noObj = ^ids.ObjectID(0)
 // identical observable behaviour at every step. Entries are duplicated per
 // table (an entry lives in at most one container), so equality is by
 // object.
+//
+// The "ties" case draws keys from three values and objects in scrambled
+// order into a table spanning several B-tree blocks, so most comparisons
+// fall through to the Object tie-break — which the B-tree resolves by
+// dereferencing the entry behind an inline key — also at block boundaries.
 func TestOrderedOpEquivalence(t *testing.T) {
+	cases := []struct {
+		name     string
+		capacity int
+		keySpan  int
+		scramble bool
+	}{
+		{"spread", 16, 1000, false},
+		{"ties", 600, 3, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			runOrderedOpEquivalence(t, tc.capacity, tc.keySpan, tc.scramble)
+		})
+	}
+}
+
+func runOrderedOpEquivalence(t *testing.T, capacity, keySpan int, scramble bool) {
 	backends := []Backend{BackendBTree, BackendSlice, BackendSkipList, BackendList}
 	tables := make([]Ordered, len(backends))
 	held := make([]map[ids.ObjectID]*Entry, len(backends))
 	for i, b := range backends {
-		tables[i] = NewOrdered(16, b)
+		tables[i] = NewOrdered(capacity, b)
 		held[i] = make(map[ids.ObjectID]*Entry)
 	}
 	rng := rand.New(rand.NewSource(42))
-	nextObj := ids.ObjectID(0)
+	issued := int64(0)
+	// object maps the n-th issued object to its ID: sequential, or
+	// scrambled by an odd multiplier (a bijection on 64 bits) so inserts
+	// arrive in random Object order.
+	object := func(n int64) ids.ObjectID {
+		if scramble {
+			return ids.ObjectID(uint64(n) * 0x9E3779B97F4A7C15)
+		}
+		return ids.ObjectID(n)
+	}
 
 	for step := 0; step < 20000; step++ {
 		switch op := rng.Intn(10); {
 		case op < 5: // Insert a fresh entry with a random key
-			nextObj++
-			last, avg := int64(rng.Intn(1000)), int64(rng.Intn(1000))
+			issued++
+			obj := object(issued)
+			last, avg := int64(rng.Intn(keySpan)), int64(rng.Intn(keySpan))
 			evicted := noObj
 			for i, tbl := range tables {
-				e := &Entry{Object: nextObj, Last: last, Avg: avg, Hits: 1}
-				held[i][nextObj] = e
+				e := &Entry{Object: obj, Last: last, Avg: avg, Hits: 1}
+				held[i][obj] = e
 				out := tbl.Insert(e)
 				got := noObj
 				if out != nil {
@@ -275,7 +480,7 @@ func TestOrderedOpEquivalence(t *testing.T) {
 				}
 			}
 		case op < 7: // Remove by object (may miss)
-			probe := ids.ObjectID(rng.Int63n(int64(nextObj) + 1))
+			probe := object(rng.Int63n(issued + 1))
 			want := noObj
 			for i, tbl := range tables {
 				out := tbl.Remove(probe)

@@ -46,6 +46,16 @@ type Entry struct {
 	// it to the origin server (§III.3.2).
 	Location ids.NodeID
 
+	// kind is the table currently holding the entry (KindNone while it
+	// is in none). Tables keeps it current on every move, so the
+	// directory resolves membership and table with one probe. It and
+	// noAge fill the padding after Location.
+	kind Kind
+
+	// noAge freezes the aging term in Key for the aging-off ablation
+	// (Config.AgingOff); entries of one proxy all share the setting.
+	noAge bool
+
 	// Last is the proxy-local logical time of the most recent request
 	// for this object (the LAST column).
 	Last int64
@@ -65,10 +75,6 @@ type Entry struct {
 	// does not participate in Key, so it may be mutated while the entry
 	// sits in an ordered table.
 	Replicas []ids.NodeID
-
-	// noAge freezes the aging term in Key for the aging-off ablation
-	// (Config.AgingOff); entries of one proxy all share the setting.
-	noAge bool
 
 	// prev/next are intrusive list links used by whichever list-shaped
 	// table currently holds the entry (the LRU single-table, the
@@ -141,7 +147,7 @@ func (e *Entry) String() string {
 }
 
 // Kind identifies which mapping table an entry lives in.
-type Kind int
+type Kind uint8
 
 // Table kinds, ordered by lookup priority in Update_Entry (Fig. 8).
 const (

@@ -16,7 +16,7 @@ import (
 // the paper's Update_Entry does.
 //
 // Backends keep no object index of their own: on the hot path the owning
-// Tables resolves membership through its unified directory (one map probe
+// Tables resolves membership through its unified directory (one hash probe
 // for all three tables) and removes via RemoveEntry. The by-object methods
 // (Contains, Get, Remove) search the backend's own structure — O(log n) is
 // not possible without a key, so they are linear walks — and exist for the

@@ -46,8 +46,8 @@ func InsertNode(set []ids.NodeID, n ids.NodeID) []ids.NodeID {
 // random peer selection, as with ForwardLocation). The returned slice is the
 // entry's own set; callers must not mutate it.
 func (t *Tables) ForwardSet(obj ids.ObjectID) (loc ids.NodeID, replicas []ids.NodeID, ok bool) {
-	e, kind := t.locate(obj)
-	if kind == KindNone {
+	e := t.locate(obj)
+	if e == nil {
 		return ids.None, nil, false
 	}
 	return e.Location, e.Replicas, true
@@ -58,8 +58,8 @@ func (t *Tables) ForwardSet(obj ids.ObjectID) (loc ids.NodeID, replicas []ids.No
 // Reply.AvgHint so adopting proxies seed their forced entries with the
 // holder's measured popularity.
 func (t *Tables) AvgOf(obj ids.ObjectID) (int64, bool) {
-	e, kind := t.locate(obj)
-	if kind == KindNone {
+	e := t.locate(obj)
+	if e == nil {
 		return 0, false
 	}
 	return e.Avg, true
@@ -71,8 +71,8 @@ func (t *Tables) AvgOf(obj ids.ObjectID) (int64, bool) {
 // The input must be sorted ascending; advertised sets always are. It reports
 // whether an entry existed to update.
 func (t *Tables) SetReplicas(obj ids.ObjectID, nodes []ids.NodeID, exclude ids.NodeID, max int) bool {
-	e, kind := t.locate(obj)
-	if kind == KindNone {
+	e := t.locate(obj)
+	if e == nil {
 		return false
 	}
 	keep := e.Replicas[:0]
@@ -100,8 +100,8 @@ func (t *Tables) SetReplicas(obj ids.ObjectID, nodes []ids.NodeID, exclude ids.N
 // AddReplica records node as an additional holder of obj, bounded by max.
 // It reports whether the set changed.
 func (t *Tables) AddReplica(obj ids.ObjectID, node ids.NodeID, max int) bool {
-	e, kind := t.locate(obj)
-	if kind == KindNone || node == e.Location || !node.IsProxy() {
+	e := t.locate(obj)
+	if e == nil || node == e.Location || !node.IsProxy() {
 		return false
 	}
 	if len(e.Replicas) >= max || ContainsNode(e.Replicas, node) {
@@ -114,7 +114,7 @@ func (t *Tables) AddReplica(obj ids.ObjectID, node ids.NodeID, max int) bool {
 // ClearReplicas forgets obj's replica set (the anchor holder's half of
 // reconvergence: stop advertising, let stale remote beliefs wash out).
 func (t *Tables) ClearReplicas(obj ids.ObjectID) {
-	if e, kind := t.locate(obj); kind != KindNone {
+	if e := t.locate(obj); e != nil {
 		e.Replicas = nil
 	}
 }
@@ -138,7 +138,8 @@ func (t *Tables) ClearReplicas(obj ids.ObjectID) {
 // demote the cache's worst entry onto the single-table top (Outcome.
 // CacheEvicted / Dropped, exactly as the LRU ablation handles it).
 func (t *Tables) ForceCache(obj ids.ObjectID, loc ids.NodeID, now, avgHint int64) (out Outcome, adopted bool) {
-	e, kind := t.locate(obj)
+	e := t.locate(obj)
+	kind := kindOf(e)
 	applyHint := func() {
 		if avgHint > 0 && (e.Hits <= 2 || e.Avg == 0 || avgHint < e.Avg) {
 			e.Avg = avgHint
@@ -173,7 +174,7 @@ func (t *Tables) ForceCache(obj ids.ObjectID, loc ids.NodeID, now, avgHint int64
 		}
 	}
 	out = Outcome{From: kind, To: KindCaching}
-	t.dirSet(obj, KindCaching, e)
+	e.kind = KindCaching
 	evicted := t.caching.Insert(e)
 	if evicted == nil {
 		return out, true
@@ -186,29 +187,20 @@ func (t *Tables) ForceCache(obj ids.ObjectID, loc ids.NodeID, now, avgHint int64
 		out.To = kind
 		switch kind {
 		case KindMultiple:
+			e.kind = KindMultiple
 			t.multiple.Insert(e)
-			t.dirSet(obj, KindMultiple, e)
 		case KindSingle:
-			t.single.InsertTop(e)
-			t.dirSet(obj, KindSingle, e)
+			t.pushSingle(e)
 		default:
 			out.To = KindSingle
-			out.Dropped = t.single.InsertTop(e)
-			t.dirSet(obj, KindSingle, e)
-			if out.Dropped != nil {
-				t.dirDel(out.Dropped.Object)
-			}
+			out.Dropped = t.pushSingle(e)
 		}
 		return out, false
 	}
 	// A resident was demoted to make room; it keeps its forwarding
 	// knowledge on the single-table top, as in the LRU ablation.
 	out.CacheEvicted = evicted
-	out.Dropped = t.single.InsertTop(evicted)
-	t.dirSet(evicted.Object, KindSingle, evicted)
-	if out.Dropped != nil {
-		t.dirDel(out.Dropped.Object)
-	}
+	out.Dropped = t.pushSingle(evicted)
 	return out, true
 }
 
@@ -218,8 +210,8 @@ func (t *Tables) ForceCache(obj ids.ObjectID, loc ids.NodeID, now, avgHint int64
 // object instead of falling back to random forwarding, and its replica set is
 // cleared. It reports false when obj is not cached.
 func (t *Tables) DropCached(obj ids.ObjectID, fallback ids.NodeID) (out Outcome, dropped bool) {
-	e, kind := t.locate(obj)
-	if kind != KindCaching {
+	e := t.locate(obj)
+	if kindOf(e) != KindCaching {
 		return Outcome{}, false
 	}
 	t.caching.RemoveEntry(e)
@@ -228,10 +220,6 @@ func (t *Tables) DropCached(obj ids.ObjectID, fallback ids.NodeID) (out Outcome,
 	}
 	e.Replicas = nil
 	out = Outcome{From: KindCaching, To: KindSingle, CacheEvicted: e}
-	out.Dropped = t.single.InsertTop(e)
-	t.dirSet(obj, KindSingle, e)
-	if out.Dropped != nil {
-		t.dirDel(out.Dropped.Object)
-	}
+	out.Dropped = t.pushSingle(e)
 	return out, true
 }

@@ -9,7 +9,7 @@ import "github.com/adc-sim/adc/internal/ids"
 //
 // Entries link through their intrusive prev/next fields, so insertion and
 // drop-out allocate nothing. The table keeps no object index: hot-path
-// membership is resolved by the owning Tables' unified directory (one map
+// membership is resolved by the owning Tables' unified directory (one hash
 // probe shared with the ordered tables) followed by an O(1) RemoveEntry.
 // The by-object methods here search element-wise, exactly the behaviour
 // the paper's own implementation "requires … within the list" (§V.3.3);

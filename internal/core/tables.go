@@ -56,22 +56,17 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// slot is one directory cell: which table holds the object and its entry.
-type slot struct {
-	kind  Kind
-	entry *Entry
-}
-
 // Tables is one proxy's complete mapping-table state: the single-, multiple-
 // and caching tables plus the Update_Entry logic that moves entries between
 // them (paper Fig. 8). The caching table doubles as the cache itself — its
 // entries "represent actually stored objects" (§III.3.3); since the testbed
 // does not move payloads (§V.1), membership is storage.
 //
-// A unified directory (one map over all three tables) resolves every
-// membership question — Lookup, IsCached, ForwardLocation and the find
-// phase of Update — with exactly one map probe; the tables themselves keep
-// no per-table index and are touched only by position (RemoveEntry,
+// A unified directory (one open-addressing index over all three tables)
+// resolves every membership question — Lookup, IsCached, ForwardLocation
+// and the find phase of Update — with one probe: it maps the object to its
+// entry, and the entry records which table holds it. The tables themselves
+// keep no per-table index and are touched only by position (RemoveEntry,
 // Insert). The directory is disabled in the paper-faithful timing modes
 // (SingleScan, BackendList) so the Fig. 15 ablation measures element-wise
 // search exactly as the paper did.
@@ -80,9 +75,9 @@ type Tables struct {
 	multiple Ordered
 	caching  Ordered
 
-	// dir maps every known object to its table and entry; nil in the
+	// dir maps every known object to its entry; nil in the
 	// paper-faithful probe modes.
-	dir map[ids.ObjectID]slot
+	dir *directory
 	// arena slab-allocates entries and recycles the ones the system
 	// forgets (Outcome.Dropped, via Recycle).
 	arena entryArena
@@ -108,7 +103,7 @@ func NewTables(cfg Config) (*Tables, error) {
 		agingOff: cfg.AgingOff,
 	}
 	if !cfg.SingleScan && cfg.Backend != BackendList {
-		t.dir = make(map[ids.ObjectID]slot, cfg.SingleSize+cfg.MultipleSize+cfg.CachingSize)
+		t.dir = newDirectory(cfg.SingleSize + cfg.MultipleSize + cfg.CachingSize)
 	}
 	return t, nil
 }
@@ -122,53 +117,47 @@ func (t *Tables) Multiple() Ordered { return t.multiple }
 // Caching exposes the caching table.
 func (t *Tables) Caching() Ordered { return t.caching }
 
-// locate finds the entry for obj and the table holding it: one directory
-// probe, or — in the paper-faithful modes — sequential probes "in the order
-// caching table, multiple-table and single-table" (§IV.3).
-func (t *Tables) locate(obj ids.ObjectID) (*Entry, Kind) {
+// locate finds the entry for obj, or nil: one directory probe, or — in the
+// paper-faithful modes — sequential probes "in the order caching table,
+// multiple-table and single-table" (§IV.3). The entry's kind names its
+// table either way.
+func (t *Tables) locate(obj ids.ObjectID) *Entry {
 	if t.dir != nil {
-		s := t.dir[obj]
-		return s.entry, s.kind
+		return t.dir.get(obj)
 	}
 	if e := t.caching.Get(obj); e != nil {
-		return e, KindCaching
+		return e
 	}
 	if e := t.multiple.Get(obj); e != nil {
-		return e, KindMultiple
+		return e
 	}
-	if e := t.single.Get(obj); e != nil {
-		return e, KindSingle
-	}
-	return nil, KindNone
+	return t.single.Get(obj)
 }
 
-// dirSet records obj's table and entry; no-op in probe mode.
-func (t *Tables) dirSet(obj ids.ObjectID, kind Kind, e *Entry) {
-	if t.dir != nil {
-		t.dir[obj] = slot{kind: kind, entry: e}
+// kindOf returns the table holding e, KindNone for a nil entry.
+func kindOf(e *Entry) Kind {
+	if e == nil {
+		return KindNone
 	}
-}
-
-// dirDel forgets obj; no-op in probe mode.
-func (t *Tables) dirDel(obj ids.ObjectID) {
-	if t.dir != nil {
-		delete(t.dir, obj)
-	}
+	return e.kind
 }
 
 // IsCached reports whether obj is in the local cache, i.e. has a caching-
 // table entry.
 func (t *Tables) IsCached(obj ids.ObjectID) bool {
-	if t.dir != nil {
-		return t.dir[obj].kind == KindCaching
+	if t.dir == nil {
+		return t.caching.Contains(obj)
 	}
-	return t.caching.Contains(obj)
+	return kindOf(t.dir.get(obj)) == KindCaching
 }
 
-// Lookup finds the entry for obj, searching "in the order caching table,
-// multiple-table and single-table" (§IV.3). It never mutates state.
+// Lookup finds the entry for obj and the table holding it, searching "in
+// the order caching table, multiple-table and single-table" (§IV.3). It
+// never mutates state. The entry stays valid for UpdateEntry and for
+// reading until the next call that changes the tables.
 func (t *Tables) Lookup(obj ids.ObjectID) (*Entry, Kind) {
-	return t.locate(obj)
+	e := t.locate(obj)
+	return e, kindOf(e)
 }
 
 // Outcome reports what Update did, so the proxy can maintain its counters
@@ -194,9 +183,19 @@ type Outcome struct {
 
 // Update is the paper's Update_Entry(Object, Location) (Fig. 8), executed
 // at proxy-local logical time now. It finds the entry (one directory probe,
-// or table-order probes in the paper-faithful modes), folds in the new
-// access via CalcAverage, rewrites the location, and applies the promotion
-// rules:
+// or table-order probes in the paper-faithful modes) and hands it to
+// UpdateEntry.
+func (t *Tables) Update(obj ids.ObjectID, loc ids.NodeID, now int64) Outcome {
+	return t.UpdateEntry(obj, t.locate(obj), loc, now)
+}
+
+// UpdateEntry is Update for a caller that already holds obj's entry from
+// Lookup (nil when obj is unknown), so the event costs one table probe in
+// all. No call that changes the tables may come between the Lookup and
+// this call.
+//
+// It folds the new access into the entry via CalcAverage, rewrites the
+// location, and applies the promotion rules:
 //
 //   - caching-table entries are updated in place (re-inserted in order);
 //   - multiple-table entries move into the caching table when their aged
@@ -214,13 +213,12 @@ type Outcome struct {
 // Entries are always removed from their table before CalcAverage mutates
 // the key: position-based removal (RemoveEntry) locates the entry by its
 // stored key.
-func (t *Tables) Update(obj ids.ObjectID, loc ids.NodeID, now int64) Outcome {
+func (t *Tables) UpdateEntry(obj ids.ObjectID, e *Entry, loc ids.NodeID, now int64) Outcome {
 	if t.admitAll {
-		return t.updateLRU(obj, loc, now)
+		return t.updateLRU(obj, e, loc, now)
 	}
 
-	e, kind := t.locate(obj)
-	switch kind {
+	switch kindOf(e) {
 	case KindCaching:
 		// Part 1: caching table — update in place.
 		t.caching.RemoveEntry(e)
@@ -236,13 +234,13 @@ func (t *Tables) Update(obj ids.ObjectID, loc ids.NodeID, now int64) Outcome {
 		e.Location = loc
 		if t.admits(t.caching, e) {
 			out := Outcome{From: KindMultiple, To: KindCaching}
-			t.dirSet(obj, KindCaching, e)
+			e.kind = KindCaching
 			if evicted := t.caching.Insert(e); evicted != nil {
 				// The demoted worst returns to the
 				// multiple-table, which has room because e
 				// just left it.
+				evicted.kind = KindMultiple
 				t.multiple.Insert(evicted)
-				t.dirSet(evicted.Object, KindMultiple, evicted)
 				out.CacheEvicted = evicted
 			}
 			return out
@@ -257,29 +255,22 @@ func (t *Tables) Update(obj ids.ObjectID, loc ids.NodeID, now int64) Outcome {
 		e.Location = loc
 		if t.admits(t.multiple, e) {
 			out := Outcome{From: KindSingle, To: KindMultiple}
-			t.dirSet(obj, KindMultiple, e)
+			e.kind = KindMultiple
 			if evicted := t.multiple.Insert(e); evicted != nil {
 				// The multiple-table's worst goes on top of
 				// the single-table (Fig. 8 Part 3); the
 				// single-table has room because e just left.
-				t.single.InsertTop(evicted)
-				t.dirSet(evicted.Object, KindSingle, evicted)
+				t.pushSingle(evicted)
 				out.MultipleEvicted = evicted
 			}
 			return out
 		}
-		dropped := t.single.InsertTop(e)
-		return Outcome{From: KindSingle, To: KindSingle, Dropped: dropped}
+		return Outcome{From: KindSingle, To: KindSingle, Dropped: t.pushSingle(e)}
 	}
 
 	// Part 4: unknown object — new entry on top of the single-table.
 	e = t.alloc(obj, loc, now)
-	dropped := t.single.InsertTop(e)
-	t.dirSet(obj, KindSingle, e)
-	if dropped != nil {
-		t.dirDel(dropped.Object)
-	}
-	return Outcome{From: KindNone, To: KindSingle, Dropped: dropped}
+	return Outcome{From: KindNone, To: KindSingle, Dropped: t.pushSingle(e)}
 }
 
 // updateLRU is the CacheAdmitAll ablation: every passing object is cached
@@ -287,8 +278,8 @@ func (t *Tables) Update(obj ids.ObjectID, loc ids.NodeID, now int64) Outcome {
 // pulled from whichever table currently holds it so the usual bookkeeping
 // (average, location, single-occupancy invariant) still applies; evictions
 // land on top of the single-table so the proxy keeps routing knowledge.
-func (t *Tables) updateLRU(obj ids.ObjectID, loc ids.NodeID, now int64) Outcome {
-	e, from := t.locate(obj)
+func (t *Tables) updateLRU(obj ids.ObjectID, e *Entry, loc ids.NodeID, now int64) Outcome {
+	from := kindOf(e)
 	switch from {
 	case KindCaching:
 		t.caching.RemoveEntry(e)
@@ -304,30 +295,49 @@ func (t *Tables) updateLRU(obj ids.ObjectID, loc ids.NodeID, now int64) Outcome 
 		e.Location = loc
 	}
 	out := Outcome{From: from, To: KindCaching}
-	t.dirSet(obj, KindCaching, e)
+	e.kind = KindCaching
 	if evicted := t.caching.Insert(e); evicted != nil {
 		if evicted == e {
 			// Zero-capacity cache bounced the entry itself; the
 			// system forgets it (unreachable after Validate).
-			t.dirDel(obj)
+			t.forget(e)
+			out.To, out.Dropped = KindNone, e
 			return out
 		}
 		out.CacheEvicted = evicted
-		out.Dropped = t.single.InsertTop(evicted)
-		t.dirSet(evicted.Object, KindSingle, evicted)
-		if out.Dropped != nil {
-			t.dirDel(out.Dropped.Object)
-		}
+		out.Dropped = t.pushSingle(evicted)
 	}
 	return out
 }
 
+// pushSingle puts e on top of the single-table. The entry that falls off
+// the bottom, if any, is forgotten and returned for the outcome's Dropped.
+func (t *Tables) pushSingle(e *Entry) (dropped *Entry) {
+	e.kind = KindSingle
+	if dropped = t.single.InsertTop(e); dropped != nil {
+		t.forget(dropped)
+	}
+	return dropped
+}
+
 // alloc hands out a fresh entry from the arena, configured for this
-// proxy's aging mode.
+// proxy's aging mode and recorded in the directory. The caller places it
+// in a table.
 func (t *Tables) alloc(obj ids.ObjectID, loc ids.NodeID, now int64) *Entry {
 	e := t.arena.get(obj, loc, now)
 	e.noAge = t.agingOff
+	if t.dir != nil {
+		t.dir.put(e)
+	}
 	return e
+}
+
+// forget removes an entry that has left every table from the directory.
+func (t *Tables) forget(e *Entry) {
+	if t.dir != nil {
+		t.dir.del(e.Object)
+	}
+	e.kind = KindNone
 }
 
 // Recycle returns the entries an Update expelled from the system to the
@@ -365,8 +375,8 @@ func (t *Tables) admits(dst Ordered, e *Entry) bool {
 // they represent objects stored locally, whose data is valid regardless of
 // what happened to a remote peer.
 func (t *Tables) Invalidate(obj ids.ObjectID) bool {
-	e, kind := t.locate(obj)
-	switch kind {
+	e := t.locate(obj)
+	switch kindOf(e) {
 	case KindSingle:
 		t.single.RemoveEntry(e)
 	case KindMultiple:
@@ -374,7 +384,7 @@ func (t *Tables) Invalidate(obj ids.ObjectID) bool {
 	default:
 		return false
 	}
-	t.dirDel(obj)
+	t.forget(e)
 	t.arena.put(e)
 	return true
 }
@@ -383,11 +393,10 @@ func (t *Tables) Invalidate(obj ids.ObjectID) bool {
 // tables (the paper's Forward_Addr, Fig. 6). ok is false when no table has
 // an entry, in which case the proxy falls back to random peer selection.
 func (t *Tables) ForwardLocation(obj ids.ObjectID) (ids.NodeID, bool) {
-	e, kind := t.locate(obj)
-	if kind == KindNone {
-		return ids.None, false
+	if e := t.locate(obj); e != nil {
+		return e.Location, true
 	}
-	return e.Location, true
+	return ids.None, false
 }
 
 // Len returns the total number of entries across the three tables.

@@ -182,6 +182,57 @@ func TestAdmissionShedsAtBound(t *testing.T) {
 	}
 }
 
+// TestNegativeForwardsStillGated: a client claiming a negative hop count
+// must not pass for a forwarded hop. With the single admission slot held
+// by a slow entry request, X-Adc-Forwards values of -1 and "abc" are
+// answered 400 without touching the origin, while a plain entry request is
+// shed — the gate stays the only way in.
+func TestNegativeForwardsStillGated(t *testing.T) {
+	origin := newSlowOrigin(300 * time.Millisecond)
+	defer origin.srv.Close()
+	p := stormProxy(t, origin.srv.URL, Config{ID: 0, MaxActive: 1, MaxQueue: -1})
+
+	done := make(chan int, 1)
+	go func() { done <- stormGet(t, p, 1, "holder") }()
+	deadline := time.Now().Add(5 * time.Second)
+	for origin.fetches.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the slot holder never reached the origin")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	requests := p.Stats().Requests
+
+	for i, hops := range []string{"-1", "abc"} {
+		req, err := http.NewRequest(http.MethodGet, ObjectURL(p.URL(), ids.ObjectID(10+i)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(HeaderRequestID, "neg-"+strconv.Itoa(i))
+		req.Header.Set(HeaderForwards, hops)
+		resp, err := sharedClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close() //nolint:errcheck // status only
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("X-Adc-Forwards %q: status %d, want 400", hops, resp.StatusCode)
+		}
+	}
+	if code := stormGet(t, p, 20, "entry"); code != http.StatusTooManyRequests {
+		t.Errorf("entry request while the slot is held: status %d, want 429", code)
+	}
+	if got := p.Stats().Requests; got != requests {
+		t.Errorf("rejected requests reached the protocol: Requests %d -> %d", requests, got)
+	}
+	if code := <-done; code != http.StatusOK {
+		t.Errorf("slot holder: status %d", code)
+	}
+	if got := origin.fetches.Load(); got != 1 {
+		t.Errorf("origin fetches = %d, want 1 (only the slot holder)", got)
+	}
+}
+
 // TestGateBounds covers the gate state machine directly, including the
 // bounded wait queue and the nil (unlimited) gate.
 func TestGateBounds(t *testing.T) {

@@ -588,7 +588,11 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing "+HeaderRequestID, http.StatusBadRequest)
 		return
 	}
-	forwards, _ := strconv.Atoi(r.Header.Get(HeaderForwards))
+	forwards, err := parseForwards(r.Header.Get(HeaderForwards))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 
 	sc := p.spanContext(r.Header, forwards)
 	start := nowUs()
@@ -1017,19 +1021,36 @@ func (p *Proxy) fetch(base string, dest ids.NodeID, obj ids.ObjectID, reqID stri
 }
 
 // parseNodeID reverses ids.NodeID.String for proxy IDs; anything else
-// (empty, "Origin") maps to None.
+// (empty, "Origin", a signed or out-of-range number) maps to None, so a
+// malformed header can never be learned into the tables as some other
+// proxy's ID.
 func parseNodeID(s string) ids.NodeID {
 	rest, ok := strings.CutPrefix(s, "Proxy[")
 	if !ok {
 		return ids.None
 	}
 	rest, ok = strings.CutSuffix(rest, "]")
-	if !ok {
+	if !ok || strings.HasPrefix(rest, "+") {
 		return ids.None
 	}
-	v, err := strconv.Atoi(rest)
+	v, err := strconv.ParseInt(rest, 10, 32)
 	if err != nil || v < 0 {
 		return ids.None
 	}
 	return ids.NodeID(v)
+}
+
+// parseForwards reads the X-Adc-Forwards hop count. An absent header is an
+// entry request (0); a present value must be a non-negative integer, since
+// any other reading would let a client skip the entry-only admission gate
+// and retry ownership.
+func parseForwards(s string) (int, error) {
+	if s == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("bad %s %q", HeaderForwards, s)
+	}
+	return n, nil
 }

@@ -42,12 +42,51 @@ func TestParseObjectPath(t *testing.T) {
 }
 
 func TestParseNodeID(t *testing.T) {
-	if got := parseNodeID("Proxy[3]"); got != 3 {
-		t.Errorf("parse Proxy[3] = %v", got)
+	cases := []struct {
+		in   string
+		want ids.NodeID
+	}{
+		{"Proxy[3]", 3},
+		{"Proxy[0]", 0},
+		{"Proxy[2147483647]", 2147483647},
+		{"", ids.None},
+		{"Origin", ids.None},
+		{"Client[0]", ids.None},
+		{"Proxy[x]", ids.None},
+		{"Proxy[3", ids.None},
+		{"Proxy[]", ids.None},
+		{"Proxy[-2]", ids.None},
+		{"Proxy[+3]", ids.None},
+		{"Proxy[2147483648]", ids.None},
+		// 2^32+1 wrapped to Proxy[1] when parsed as int and truncated.
+		{"Proxy[4294967297]", ids.None},
+		{"Proxy[99999999999999999999]", ids.None},
 	}
-	for _, bad := range []string{"", "Origin", "Proxy[x]", "Proxy[3", "Client[0]", "Proxy[-2]"} {
-		if got := parseNodeID(bad); got != ids.None {
-			t.Errorf("parseNodeID(%q) = %v, want None", bad, got)
+	for _, tc := range cases {
+		if got := parseNodeID(tc.in); got != tc.want {
+			t.Errorf("parseNodeID(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
+func TestParseForwards(t *testing.T) {
+	cases := []struct {
+		in      string
+		want    int
+		wantErr bool
+	}{
+		{"", 0, false},
+		{"0", 0, false},
+		{"3", 3, false},
+		{"-1", 0, true},
+		{"abc", 0, true},
+		{"1.5", 0, true},
+		{"99999999999999999999", 0, true},
+	}
+	for _, tc := range cases {
+		got, err := parseForwards(tc.in)
+		if got != tc.want || (err != nil) != tc.wantErr {
+			t.Errorf("parseForwards(%q) = (%d, %v), want (%d, error %v)", tc.in, got, err, tc.want, tc.wantErr)
 		}
 	}
 }

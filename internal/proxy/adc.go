@@ -238,16 +238,19 @@ func (p *ADC) receiveRequest(ctx sim.Context, req *msg.Request) {
 		p.rollWindow()
 	}
 
-	if p.tables.IsCached(req.Object) {
+	// One table probe serves the whole event: the hit test, the hit
+	// path's Update and the miss path's Forward_Addr all use this entry.
+	entry, kind := p.tables.Lookup(req.Object)
+	if kind == core.KindCaching {
 		// Local hit: update the entry to point at ourselves and
 		// start backwarding immediately.
 		p.stats.LocalHits++
 		prevLoc := ids.None
 		if p.replica != nil {
 			p.noteHit(req.Object)
-			prevLoc, _ = p.tables.ForwardLocation(req.Object)
+			prevLoc = entry.Location
 		}
-		out := p.tables.Update(req.Object, p.id, p.localTime)
+		out := p.tables.UpdateEntry(req.Object, entry, p.id, p.localTime)
 		if p.tracer.Enabled(obs.KindHit) {
 			e := obs.Ev(obs.KindHit, p.id)
 			e.At = sim.TraceNow(ctx)
@@ -291,7 +294,7 @@ func (p *ADC) receiveRequest(ctx sim.Context, req *msg.Request) {
 		p.stats.ForwardOrigin++
 	} else {
 		var viaTable bool
-		to, viaTable = p.forwardAddr(req.Object)
+		to, viaTable = p.forwardAddr(entry)
 		switch {
 		case viaTable && to == ids.Origin:
 			reason = obs.ReasonSelfOrigin
@@ -330,24 +333,25 @@ func (p *ADC) receiveRequest(ctx sim.Context, req *msg.Request) {
 	ctx.Send(req)
 }
 
-// forwardAddr is the paper's Forward_Addr() (Fig. 6): use the learned
+// forwardAddr is the paper's Forward_Addr() (Fig. 6) over the request's
+// mapping entry (nil when no table knows the object): use the learned
 // location when one exists, otherwise pick a random peer (including
 // ourselves). A learned location equal to our own ID is a THIS entry whose
 // object is not cached here, which means this proxy is responsible and the
 // unresolved query goes to the origin server (§III.3.2). viaTable reports
 // whether a mapping entry directed the forward, so the recovery layer
 // knows which pending passes trusted a learned location.
-func (p *ADC) forwardAddr(obj ids.ObjectID) (to ids.NodeID, viaTable bool) {
+func (p *ADC) forwardAddr(entry *core.Entry) (to ids.NodeID, viaTable bool) {
 	if p.replica != nil {
-		return p.forwardAddrReplicated(obj)
+		return p.forwardAddrReplicated(entry)
 	}
-	if loc, ok := p.tables.ForwardLocation(obj); ok {
-		if loc == p.id {
+	if entry != nil {
+		if entry.Location == p.id {
 			p.stats.ForwardOrigin++
 			return ids.Origin, true
 		}
 		p.stats.ForwardLearned++
-		return loc, true
+		return entry.Location, true
 	}
 	p.stats.ForwardRandom++
 	return p.peers[p.rng.Intn(len(p.peers))], false
@@ -380,14 +384,17 @@ func (p *ADC) receiveReply(ctx sim.Context, rep *msg.Reply) {
 	learned := rep.Resolver
 	out := p.tables.Update(rep.Object, rep.Resolver, p.localTime)
 	p.recordOutcome(out)
+	cached := out.To == core.KindCaching
 	if p.replica != nil {
+		// The controller may adopt or shed the object; ask again.
 		p.learnReplicas(rep)
+		cached = p.tables.IsCached(rep.Object)
 	}
 
 	// "This focus on only one caching location is necessary to allow
 	// the system to agree faster on one location" (§IV.2): the first
 	// cache-holding proxy on the path claims resolver + cached.
-	if !rep.Cached && p.tables.IsCached(rep.Object) {
+	if !rep.Cached && cached {
 		rep.Resolver = p.id
 		rep.Cached = true
 		if p.replica != nil {

@@ -317,14 +317,14 @@ func (p *ADC) rollWindow() {
 // candidates the proxy picks by power-of-two-choices on its local per-peer
 // load estimates (two uniform draws, lower load wins, ties break to the
 // lower proxy ID so fixed-seed runs stay deterministic).
-func (p *ADC) forwardAddrReplicated(obj ids.ObjectID) (to ids.NodeID, viaTable bool) {
-	loc, replicas, ok := p.tables.ForwardSet(obj)
-	if !ok {
+func (p *ADC) forwardAddrReplicated(entry *core.Entry) (to ids.NodeID, viaTable bool) {
+	if entry == nil {
 		p.stats.ForwardRandom++
 		to = p.peers[p.rng.Intn(len(p.peers))]
 		p.replica.addLoad(to)
 		return to, false
 	}
+	loc, replicas := entry.Location, entry.Replicas
 	// Candidates: every known holder that is not this proxy.
 	var buf [9]ids.NodeID // MaxReplicas is small; 9 covers loc + 8 replicas
 	cand := buf[:0]

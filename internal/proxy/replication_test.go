@@ -240,14 +240,18 @@ func TestForwardAddrReplicatedPowerOfTwoChoices(t *testing.T) {
 	const obj = ids.ObjectID(3)
 	p.tables.Update(obj, 1, 1)
 	p.tables.AddReplica(obj, 2, 2)
+	forward := func(o ids.ObjectID) (ids.NodeID, bool) {
+		e, _ := p.tables.Lookup(o)
+		return p.forwardAddr(e)
+	}
 
 	// Tie at zero load: the lower proxy ID wins deterministically.
-	to, via := p.forwardAddr(obj)
+	to, via := forward(obj)
 	if !via || to != 1 {
 		t.Fatalf("tie-break forward = (%v, %v), want (1, true)", to, via)
 	}
 	// Choosing 1 charged its load estimate, so 2 must win now.
-	to, _ = p.forwardAddr(obj)
+	to, _ = forward(obj)
 	if to != 2 {
 		t.Fatalf("second forward = %v, want 2 (lower load)", to)
 	}
@@ -255,7 +259,7 @@ func TestForwardAddrReplicatedPowerOfTwoChoices(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.replica.addLoad(2)
 	}
-	to, _ = p.forwardAddr(obj)
+	to, _ = forward(obj)
 	if to != 1 {
 		t.Fatalf("loaded forward = %v, want 1", to)
 	}
@@ -263,7 +267,7 @@ func TestForwardAddrReplicatedPowerOfTwoChoices(t *testing.T) {
 	// Single known holder: plain learned forward.
 	const obj2 = ids.ObjectID(4)
 	p.tables.Update(obj2, 2, 2)
-	to, via = p.forwardAddr(obj2)
+	to, via = forward(obj2)
 	if !via || to != 2 {
 		t.Fatalf("single-holder forward = (%v, %v), want (2, true)", to, via)
 	}
@@ -271,7 +275,7 @@ func TestForwardAddrReplicatedPowerOfTwoChoices(t *testing.T) {
 	// THIS entry with no replicas still goes to the origin.
 	const obj3 = ids.ObjectID(5)
 	p.tables.Update(obj3, 0, 3)
-	to, via = p.forwardAddr(obj3)
+	to, via = forward(obj3)
 	if !via || to != ids.Origin {
 		t.Fatalf("THIS forward = (%v, %v), want (Origin, true)", to, via)
 	}
