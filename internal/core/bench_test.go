@@ -84,7 +84,7 @@ func newBenchTables(b *testing.B, backend Backend) *Tables {
 }
 
 // BenchmarkTablesUpdate measures the full Update_Entry state machine — as
-// the proxy drives it, Update followed by Recycle — at the paper's
+// the proxy drives it — at the paper's
 // reference table shape (20k/20k/10k, §V.2) under four access mixes:
 //
 //   - hit: every request re-touches a cached object (Part 1, in-place).
@@ -117,7 +117,7 @@ func BenchmarkTablesUpdate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				now++
-				tbl.Recycle(tbl.Update(objs[i%len(objs)], ids.NodeID(i%5), now))
+				tbl.Update(objs[i%len(objs)], ids.NodeID(i%5), now)
 			}
 		}},
 		{"miss", 1, func(b *testing.B, tbls []*Tables, now int64) {
@@ -127,7 +127,7 @@ func BenchmarkTablesUpdate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				now++
 				next++
-				tbl.Recycle(tbl.Update(ids.ObjectID(next), ids.NodeID(i%5), now))
+				tbl.Update(ids.ObjectID(next), ids.NodeID(i%5), now)
 			}
 		}},
 		{"promote", 1, func(b *testing.B, tbls []*Tables, now int64) {
@@ -139,7 +139,7 @@ func BenchmarkTablesUpdate(b *testing.B) {
 				if i%2 == 0 {
 					next++
 				}
-				tbl.Recycle(tbl.Update(ids.ObjectID(next), ids.NodeID(i%5), now))
+				tbl.Update(ids.ObjectID(next), ids.NodeID(i%5), now)
 			}
 		}},
 		{"evict", 1, func(b *testing.B, tbls []*Tables, now int64) {
@@ -151,7 +151,7 @@ func BenchmarkTablesUpdate(b *testing.B) {
 				if i%3 == 0 {
 					next++
 				}
-				tbl.Recycle(tbl.Update(ids.ObjectID(next), ids.NodeID(i%5), now))
+				tbl.Update(ids.ObjectID(next), ids.NodeID(i%5), now)
 			}
 		}},
 		{"scattered", 5, func(b *testing.B, tbls []*Tables, now int64) {
@@ -187,7 +187,7 @@ func BenchmarkTablesUpdate(b *testing.B) {
 					next++
 					obj = next
 				}
-				tbls[p].Recycle(tbls[p].Update(obj, ids.NodeID(p), now))
+				tbls[p].Update(obj, ids.NodeID(p), now)
 			}
 		}},
 	}

@@ -30,8 +30,7 @@ func TestDirectoryConsistency(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(7))
 			for i := int64(1); i <= 20000; i++ {
-				out := tbl.Update(ids.ObjectID(rng.Intn(120)), ids.NodeID(rng.Intn(4)), i)
-				tbl.Recycle(out)
+				tbl.Update(ids.ObjectID(rng.Intn(120)), ids.NodeID(rng.Intn(4)), i)
 			}
 			checkDirectory(t, tbl)
 		})
@@ -168,25 +167,29 @@ func runDirectoryProperty(t *testing.T, admitAll bool, shift uint) {
 				}
 			}
 		}
-		if d := out.Dropped; d != nil {
-			delete(ref, d.Object)
-			if d.kind != KindNone {
-				t.Fatalf("step %d: dropped entry %v still reads kind %v", step, d.Object, d.kind)
+		// A drop forgets exactly one object; nothing else leaves.
+		all := checkDirectory(t, tbl)
+		var gone []ids.ObjectID
+		for o := range ref {
+			if all[o] == nil {
+				gone = append(gone, o)
 			}
 		}
-		tbl.Recycle(out)
-
-		all := checkDirectory(t, tbl)
+		want := 0
+		if out.Dropped() {
+			want = 1
+		}
+		if len(gone) != want {
+			t.Fatalf("step %d: outcome %v, objects %v left the tables", step, out, gone)
+		}
+		for _, o := range gone {
+			delete(ref, o)
+		}
 		if len(all) != len(ref) {
 			t.Fatalf("step %d: tables hold %d objects, reference %d", step, len(all), len(ref))
 		}
-		for o := range ref {
-			if all[o] == nil {
-				t.Fatalf("step %d: reference object %v missing from the tables", step, o)
-			}
-		}
-		if e, kind := tbl.Lookup(obj); e != nil && out.To != KindNone && out.Dropped != e && kind != out.To {
-			t.Fatalf("step %d: %v ended in %v, outcome says %v", step, obj, kind, out.To)
+		if _, kind := tbl.Lookup(obj); out.To() != KindNone && ref[obj] && kind != out.To() {
+			t.Fatalf("step %d: %v ended in %v, outcome says %v", step, obj, kind, out.To())
 		}
 		for _, e := range tbl.arena.free {
 			if e.kind != KindNone {
@@ -263,8 +266,9 @@ func TestDirectoryDisabledInProbeModes(t *testing.T) {
 }
 
 // TestArenaRecyclesDropped: in steady state (full single-table, every first
-// sighting dropping a forgotten object) recycling must make Update
-// allocation-free and reuse the dropped entry's memory.
+// sighting dropping a forgotten object) the update that drops an entry
+// returns it to the arena, so Update is allocation-free and the next
+// newcomer reuses the dropped entry's memory.
 func TestArenaRecyclesDropped(t *testing.T) {
 	tbl, err := NewTables(Config{SingleSize: 4, MultipleSize: 4, CachingSize: 4})
 	if err != nil {
@@ -273,21 +277,19 @@ func TestArenaRecyclesDropped(t *testing.T) {
 	for i := int64(1); i <= 4; i++ {
 		tbl.Update(ids.ObjectID(i), 0, i)
 	}
+	dropped, _ := tbl.Lookup(1) // the single-table bottom
 	out := tbl.Update(5, 0, 5)
-	if out.Dropped == nil {
+	if !out.Dropped() {
 		t.Fatal("full single-table should drop on a first sighting")
 	}
-	dropped := out.Dropped
-	tbl.Recycle(out)
-	if dropped.Object != 0 || dropped.Hits != 0 {
-		t.Fatal("recycled entry should be zeroed")
+	if dropped.Object != 0 || dropped.Hits != 0 || len(tbl.arena.free) != 1 {
+		t.Fatal("dropped entry should be zeroed and back in the arena")
 	}
-	out = tbl.Update(6, 0, 6)
+	tbl.Update(6, 0, 6)
 	e, kind := tbl.Lookup(6)
 	if kind != KindSingle || e != dropped {
 		t.Fatalf("new entry should reuse the recycled one: got %p, want %p", e, dropped)
 	}
-	tbl.Recycle(out)
 
 	// Steady state allocates nothing per Update.
 	obj := int64(100)
@@ -295,25 +297,23 @@ func TestArenaRecyclesDropped(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		obj++
 		now++
-		tbl.Recycle(tbl.Update(ids.ObjectID(obj), 0, now))
+		tbl.Update(ids.ObjectID(obj), 0, now)
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state Update+Recycle allocates %.1f/op, want 0", allocs)
+		t.Errorf("steady-state Update allocates %.1f/op, want 0", allocs)
 	}
 }
 
-// TestRecycleNoDrop is the no-op path: outcomes without a dropped entry
+// TestRecycleNoDrop is the no-op path: updates without a dropped entry
 // leave the arena untouched.
 func TestRecycleNoDrop(t *testing.T) {
 	tbl, err := NewTables(Config{SingleSize: 4, MultipleSize: 4, CachingSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := tbl.Update(1, 0, 1)
-	if out.Dropped != nil {
+	if out := tbl.Update(1, 0, 1); out.Dropped() {
 		t.Fatal("empty table cannot drop")
 	}
-	tbl.Recycle(out)
 	if len(tbl.arena.free) != 0 {
 		t.Fatal("nothing should have been recycled")
 	}

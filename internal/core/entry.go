@@ -36,6 +36,10 @@ import (
 
 // Entry is one row of a mapping table, mirroring the columns of the paper's
 // sample tables (Figs. 1–3): OBJ-ID, PROXY, LAST, AVG, HITS.
+//
+// An entry is exactly 64 bytes (TestEntryLayout pins it): the arena hands
+// entries out of 64-byte-aligned slabs, so every entry occupies exactly one
+// cache line and an update touches one line per entry it moves.
 type Entry struct {
 	// Object is the mapped object ID (the paper's URL column).
 	Object ids.ObjectID
@@ -67,14 +71,12 @@ type Entry struct {
 	// Hits counts how many times the object has been requested here.
 	Hits int64
 
-	// Replicas is the bounded set of additional proxies known to hold the
-	// object, beyond Location — the hot-object replication extension
+	// replicas is the bounded set of additional proxies known to hold
+	// the object, beyond Location — the hot-object replication extension
 	// (nil in stock ADC, where backwarding converges every object to one
-	// location). The set is kept sorted ascending and never contains
-	// Location, so routing and advertisement stay deterministic. Replicas
-	// does not participate in Key, so it may be mutated while the entry
-	// sits in an ordered table.
-	Replicas []ids.NodeID
+	// location). It sits behind a pointer so the entry stays at 64 bytes:
+	// one cache line per entry in the arena's slabs. See Replicas.
+	replicas *replicaSet
 
 	// prev/next are intrusive list links used by whichever list-shaped
 	// table currently holds the entry (the LRU single-table, the

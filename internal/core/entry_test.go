@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/adc-sim/adc/internal/ids"
 )
@@ -168,4 +169,19 @@ func maxI64(a, b int64) int64 {
 		return a
 	}
 	return b
+}
+
+// TestEntryLayout pins the one-cache-line entry: 64 bytes, handed out by
+// the arena at 64-byte-aligned addresses across several slabs.
+func TestEntryLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Entry{}); n != 64 {
+		t.Fatalf("Entry is %d bytes, want 64", n)
+	}
+	var a entryArena
+	for i := 0; i < 3*arenaSlab; i++ {
+		e := a.get(ids.ObjectID(i), 0, 0)
+		if p := uintptr(unsafe.Pointer(e)); p%64 != 0 {
+			t.Fatalf("entry %d at %#x is not 64-byte aligned", i, p)
+		}
+	}
 }

@@ -11,6 +11,37 @@ import "github.com/adc-sim/adc/internal/ids"
 // set and every code path below is dead, keeping the stock protocol
 // byte-identical.
 
+// replicaSet is an entry's replica list. It is boxed so that the slice
+// header, nil in stock ADC, costs the entry one pointer instead of three
+// words (see Entry).
+type replicaSet struct {
+	nodes []ids.NodeID
+}
+
+// Replicas returns the entry's replica set: the additional proxies known
+// to hold the object, beyond Location. The set is kept sorted ascending and
+// never contains Location, so routing and advertisement stay
+// deterministic. It does not participate in Key, so it may change while
+// the entry sits in an ordered table. Callers must not mutate it.
+func (e *Entry) Replicas() []ids.NodeID {
+	if e.replicas == nil {
+		return nil
+	}
+	return e.replicas.nodes
+}
+
+// setReplicas replaces the entry's replica set; an empty set frees the box.
+func (e *Entry) setReplicas(nodes []ids.NodeID) {
+	switch {
+	case len(nodes) == 0:
+		e.replicas = nil
+	case e.replicas == nil:
+		e.replicas = &replicaSet{nodes: nodes}
+	default:
+		e.replicas.nodes = nodes
+	}
+}
+
 // ContainsNode reports whether the sorted set holds n.
 func ContainsNode(set []ids.NodeID, n ids.NodeID) bool {
 	for _, v := range set {
@@ -50,7 +81,7 @@ func (t *Tables) ForwardSet(obj ids.ObjectID) (loc ids.NodeID, replicas []ids.No
 	if e == nil {
 		return ids.None, nil, false
 	}
-	return e.Location, e.Replicas, true
+	return e.Location, e.Replicas(), true
 }
 
 // AvgOf returns obj's current moving-average inter-request gap, or false
@@ -75,7 +106,7 @@ func (t *Tables) SetReplicas(obj ids.ObjectID, nodes []ids.NodeID, exclude ids.N
 	if e == nil {
 		return false
 	}
-	keep := e.Replicas[:0]
+	keep := e.Replicas()[:0]
 	for _, n := range nodes {
 		if n == exclude || n == e.Location || !n.IsProxy() {
 			continue
@@ -88,12 +119,9 @@ func (t *Tables) SetReplicas(obj ids.ObjectID, nodes []ids.NodeID, exclude ids.N
 			break
 		}
 	}
-	if len(keep) == 0 {
-		keep = nil
-	}
-	// In-place filtering is safe even when nodes aliases e.Replicas: each
-	// write lands at an index ≤ the one being read.
-	e.Replicas = keep
+	// In-place filtering is safe even when nodes aliases the entry's
+	// set: each write lands at an index ≤ the one being read.
+	e.setReplicas(keep)
 	return true
 }
 
@@ -104,10 +132,11 @@ func (t *Tables) AddReplica(obj ids.ObjectID, node ids.NodeID, max int) bool {
 	if e == nil || node == e.Location || !node.IsProxy() {
 		return false
 	}
-	if len(e.Replicas) >= max || ContainsNode(e.Replicas, node) {
+	set := e.Replicas()
+	if len(set) >= max || ContainsNode(set, node) {
 		return false
 	}
-	e.Replicas = InsertNode(e.Replicas, node)
+	e.setReplicas(InsertNode(set, node))
 	return true
 }
 
@@ -115,7 +144,7 @@ func (t *Tables) AddReplica(obj ids.ObjectID, node ids.NodeID, max int) bool {
 // reconvergence: stop advertising, let stale remote beliefs wash out).
 func (t *Tables) ClearReplicas(obj ids.ObjectID) {
 	if e := t.locate(obj); e != nil {
-		e.Replicas = nil
+		e.replicas = nil
 	}
 }
 
@@ -137,7 +166,7 @@ func (t *Tables) ClearReplicas(obj ids.ObjectID) {
 // The caching table's own eviction still applies: forcing a replica in may
 // demote the cache's worst entry onto the single-table top (Outcome.
 // CacheEvicted / Dropped, exactly as the LRU ablation handles it).
-func (t *Tables) ForceCache(obj ids.ObjectID, loc ids.NodeID, now, avgHint int64) (out Outcome, adopted bool) {
+func (t *Tables) ForceCache(obj ids.ObjectID, loc ids.NodeID, now, avgHint int64) (Outcome, bool) {
 	e := t.locate(obj)
 	kind := kindOf(e)
 	applyHint := func() {
@@ -153,7 +182,7 @@ func (t *Tables) ForceCache(obj ids.ObjectID, loc ids.NodeID, now, avgHint int64
 		e.Location = loc
 		applyHint()
 		t.caching.Insert(e)
-		return Outcome{From: KindCaching, To: KindCaching}, true
+		return moved(KindCaching, KindCaching), true
 	case KindMultiple:
 		t.multiple.RemoveEntry(e)
 		e.CalcAverage(now)
@@ -173,35 +202,31 @@ func (t *Tables) ForceCache(obj ids.ObjectID, loc ids.NodeID, now, avgHint int64
 			e.Hits = 2
 		}
 	}
-	out = Outcome{From: kind, To: KindCaching}
 	e.kind = KindCaching
 	evicted := t.caching.Insert(e)
 	if evicted == nil {
-		return out, true
+		return moved(kind, KindCaching), true
 	}
 	if evicted == e {
 		// The cache is full of strictly hotter entries and bounced the
 		// newcomer itself; undo the adoption. The source table has room:
 		// the entry just left it (or, for a fresh entry, the single-table
 		// top absorbs it like any first sighting).
-		out.To = kind
 		switch kind {
 		case KindMultiple:
 			e.kind = KindMultiple
 			t.multiple.Insert(e)
+			return moved(kind, kind), false
 		case KindSingle:
 			t.pushSingle(e)
-		default:
-			out.To = KindSingle
-			out.Dropped = t.pushSingle(e)
+			return moved(kind, kind), false
 		}
-		return out, false
+		return moved(kind, KindSingle) | t.pushSingle(e), false
 	}
 	// A resident was demoted to make room; it keeps its forwarding
 	// knowledge on the single-table top, as in the LRU ablation.
-	out.CacheEvicted = evicted
-	out.Dropped = t.pushSingle(evicted)
-	return out, true
+	t.evicted = evicted.Object
+	return moved(kind, KindCaching) | outCacheEvicted | t.pushSingle(evicted), true
 }
 
 // DropCached demotes obj out of the caching table onto the single-table top —
@@ -209,17 +234,16 @@ func (t *Tables) ForceCache(obj ids.ObjectID, loc ids.NodeID, now, avgHint int64
 // fallback (the anchor holder), so this proxy keeps routing knowledge for the
 // object instead of falling back to random forwarding, and its replica set is
 // cleared. It reports false when obj is not cached.
-func (t *Tables) DropCached(obj ids.ObjectID, fallback ids.NodeID) (out Outcome, dropped bool) {
+func (t *Tables) DropCached(obj ids.ObjectID, fallback ids.NodeID) (Outcome, bool) {
 	e := t.locate(obj)
 	if kindOf(e) != KindCaching {
-		return Outcome{}, false
+		return 0, false
 	}
 	t.caching.RemoveEntry(e)
 	if fallback.IsProxy() {
 		e.Location = fallback
 	}
-	e.Replicas = nil
-	out = Outcome{From: KindCaching, To: KindSingle, CacheEvicted: e}
-	out.Dropped = t.pushSingle(e)
-	return out, true
+	e.replicas = nil
+	t.evicted = obj
+	return moved(KindCaching, KindSingle) | outCacheEvicted | t.pushSingle(e), true
 }

@@ -113,7 +113,7 @@ func TestForceCacheAdoptsUnknownObject(t *testing.T) {
 	if !adopted {
 		t.Fatal("ForceCache = not adopted")
 	}
-	if out.From != KindNone || out.To != KindCaching {
+	if out.From() != KindNone || out.To() != KindCaching {
 		t.Fatalf("outcome = %+v, want none→caching", out)
 	}
 	if !tbl.IsCached(7) {
@@ -130,7 +130,7 @@ func TestForceCachePromotesFromSingleAndMultiple(t *testing.T) {
 
 	tbl.Update(1, 2, 100) // → single
 	out, adopted := tbl.ForceCache(1, 3, 110, 0)
-	if !adopted || out.From != KindSingle || out.To != KindCaching {
+	if !adopted || out.From() != KindSingle || out.To() != KindCaching {
 		t.Fatalf("outcome = %+v adopted=%v, want single→caching", out, adopted)
 	}
 	e, _ := tbl.Lookup(1)
@@ -144,7 +144,7 @@ func TestForceCachePromotesFromSingleAndMultiple(t *testing.T) {
 		t.Fatalf("setup: object 2 kind = %v, want multiple", kind)
 	}
 	out, adopted = tbl.ForceCache(2, 4, 130, 0)
-	if !adopted || out.From != KindMultiple || out.To != KindCaching {
+	if !adopted || out.From() != KindMultiple || out.To() != KindCaching {
 		t.Fatalf("outcome = %+v adopted=%v, want multiple→caching", out, adopted)
 	}
 	if !tbl.IsCached(2) {
@@ -156,7 +156,7 @@ func TestForceCacheRefreshesCachedEntry(t *testing.T) {
 	tbl := newTestTables(t, 4, 4, 4)
 	tbl.ForceCache(1, 2, 100, 0)
 	out, adopted := tbl.ForceCache(1, 3, 150, 0)
-	if !adopted || out.From != KindCaching || out.To != KindCaching {
+	if !adopted || out.From() != KindCaching || out.To() != KindCaching {
 		t.Fatalf("outcome = %+v adopted=%v, want caching→caching", out, adopted)
 	}
 	e, _ := tbl.Lookup(1)
@@ -184,16 +184,18 @@ func TestForceCacheEvictsWorstResident(t *testing.T) {
 	if !adopted {
 		t.Fatal("ForceCache = not adopted")
 	}
-	if out.CacheEvicted == nil {
+	if !out.CacheEvicted() {
 		t.Fatal("no resident evicted from a full cache")
 	}
-	if _, kind := tbl.Lookup(out.CacheEvicted.Object); kind != KindSingle {
+	if _, kind := tbl.Lookup(tbl.Evicted()); kind != KindSingle {
 		t.Fatalf("evicted resident kind = %v, want single (demoted)", kind)
+	}
+	if tbl.Caching().Len() != 2 {
+		t.Fatalf("caching len = %d, want 2", tbl.Caching().Len())
 	}
 	if !tbl.IsCached(3) {
 		t.Fatal("forced object not cached")
 	}
-	tbl.Recycle(out)
 }
 
 func TestForceCacheBounceRevertsAdoption(t *testing.T) {
@@ -219,8 +221,8 @@ func TestForceCacheBounceRevertsAdoption(t *testing.T) {
 	if adopted {
 		t.Fatal("ForceCache adopted into a cache of strictly hotter residents")
 	}
-	if out.To != from {
-		t.Fatalf("bounced entry landed in %v, want back in %v", out.To, from)
+	if out.To() != from {
+		t.Fatalf("bounced entry landed in %v, want back in %v", out.To(), from)
 	}
 	if _, kind := tbl.Lookup(3); kind != from {
 		t.Fatalf("Lookup kind = %v, want %v", kind, from)
@@ -242,14 +244,14 @@ func TestForceCacheBounceForgetsUnknownWhenCacheHot(t *testing.T) {
 	if adopted {
 		// Key comparison depends on table state; if adopted the
 		// resident must have been demoted, which is also valid.
-		if out.CacheEvicted == nil {
+		if !out.CacheEvicted() {
 			t.Fatal("adopted into full cache without eviction")
 		}
 		return
 	}
 	// Bounced fresh entry falls back onto the single-table top.
-	if out.To != KindSingle {
-		t.Fatalf("bounced fresh entry To = %v, want single", out.To)
+	if out.To() != KindSingle {
+		t.Fatalf("bounced fresh entry To = %v, want single", out.To())
 	}
 	if _, kind := tbl.Lookup(9); kind != KindSingle {
 		t.Fatalf("Lookup(9) kind = %v, want single", kind)
@@ -268,8 +270,8 @@ func TestDropCachedDemotesToSingleTop(t *testing.T) {
 	if !dropped {
 		t.Fatal("DropCached = false")
 	}
-	if out.From != KindCaching || out.To != KindSingle {
-		t.Fatalf("outcome = %+v, want caching→single", out)
+	if out.From() != KindCaching || out.To() != KindSingle || !out.CacheEvicted() || tbl.Evicted() != 1 {
+		t.Fatalf("outcome = %v evicting %v, want caching→single evicting object 1", out, tbl.Evicted())
 	}
 	if tbl.IsCached(1) {
 		t.Fatal("object still cached after DropCached")
@@ -281,8 +283,8 @@ func TestDropCachedDemotesToSingleTop(t *testing.T) {
 	if e.Location != 0 {
 		t.Fatalf("location = %v, want fallback 0", e.Location)
 	}
-	if e.Replicas != nil {
-		t.Fatalf("replicas = %v, want nil", e.Replicas)
+	if e.Replicas() != nil {
+		t.Fatalf("replicas = %v, want nil", e.Replicas())
 	}
 
 	if _, dropped := tbl.DropCached(1, 0); dropped {
@@ -308,16 +310,18 @@ func TestRecycledEntryHasNoReplicas(t *testing.T) {
 	tbl.Update(1, 2, 100)
 	tbl.AddReplica(1, 3, 4)
 	// Drop object 1 off the single-table bottom with a new arrival.
+	e1, _ := tbl.Lookup(1)
 	out := tbl.Update(2, 2, 101)
-	if out.Dropped == nil || out.Dropped.Object != 1 {
-		t.Fatalf("setup: dropped = %+v, want object 1", out.Dropped)
+	if _, kind := tbl.Lookup(1); !out.Dropped() || kind != KindNone {
+		t.Fatalf("setup: outcome %v, object 1 in %v; want it dropped", out, kind)
 	}
-	tbl.Recycle(out)
 	// The recycled slot backs the next allocation; it must come out clean.
-	out2 := tbl.Update(3, 2, 102)
-	tbl.Recycle(out2)
+	tbl.Update(3, 2, 102)
 	e, _ := tbl.Lookup(3)
-	if e.Replicas != nil {
-		t.Fatalf("recycled entry carries stale replicas %v", e.Replicas)
+	if e != e1 {
+		t.Fatalf("object 3 got entry %p, want the recycled %p", e, e1)
+	}
+	if e.Replicas() != nil {
+		t.Fatalf("recycled entry carries stale replicas %v", e.Replicas())
 	}
 }

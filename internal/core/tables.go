@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/adc-sim/adc/internal/ids"
+	"github.com/adc-sim/adc/internal/obs"
 )
 
 // Config sizes and shapes one proxy's mapping tables. The paper's reference
@@ -78,9 +79,12 @@ type Tables struct {
 	// dir maps every known object to its entry; nil in the
 	// paper-faithful probe modes.
 	dir *directory
-	// arena slab-allocates entries and recycles the ones the system
-	// forgets (Outcome.Dropped, via Recycle).
+	// arena slab-allocates entries and takes back the ones the system
+	// forgets, before the update that forgot them returns.
 	arena entryArena
+	// evicted is the object the latest update demoted out of the
+	// caching table (see Evicted).
+	evicted ids.ObjectID
 
 	admitAll bool
 	agingOff bool
@@ -160,25 +164,65 @@ func (t *Tables) Lookup(obj ids.ObjectID) (*Entry, Kind) {
 	return e, kindOf(e)
 }
 
-// Outcome reports what Update did, so the proxy can maintain its counters
-// and tests can assert the promotion/demotion chains.
-type Outcome struct {
-	// From is the table the entry was found in; KindNone means a new
-	// entry was created (Part 4).
-	From Kind
-	// To is the table the entry ended up in.
-	To Kind
-	// CacheEvicted is the entry demoted from the caching table into the
-	// multiple-table to make room, if any.
-	CacheEvicted *Entry
-	// MultipleEvicted is the entry demoted from the multiple-table onto
-	// the top of the single-table to make room, if any.
-	MultipleEvicted *Entry
-	// Dropped is the entry that fell off the bottom of the single-table,
-	// if any; the system forgets it entirely. Hand the outcome to
-	// Recycle once the caller is done reading it so the entry returns
-	// to the arena.
-	Dropped *Entry
+// Outcome reports what an update did, so the proxy can maintain its
+// counters and tests can assert the promotion/demotion chains. It is one
+// word: the From and To tables in the low two bytes, one bit per side
+// effect above them. The per-event path returns it in a register; a
+// multi-field struct returned by value is assembled on the stack with
+// narrow stores and copied out with a wide load that cannot be forwarded
+// from them, stalling the caller on every update (DESIGN.md §8).
+type Outcome uint32
+
+const (
+	outToShift      = 8
+	outCacheEvicted = Outcome(1) << 16
+	outMultEvicted  = Outcome(1) << 17
+	outDropped      = Outcome(1) << 18
+)
+
+// moved is the outcome of an update that took an entry from table from
+// to table to, with no side effects.
+func moved(from, to Kind) Outcome { return Outcome(from) | Outcome(to)<<outToShift }
+
+// From is the table the entry was found in; KindNone means a new entry
+// was created (Part 4).
+func (o Outcome) From() Kind { return Kind(o & 0xFF) }
+
+// To is the table the entry ended up in.
+func (o Outcome) To() Kind { return Kind(o >> outToShift & 0xFF) }
+
+// CacheEvicted reports that an entry was demoted out of the caching table
+// to make room (into the multiple-table, or onto the single-table top in
+// the LRU and replication paths). Tables.Evicted names its object.
+func (o Outcome) CacheEvicted() bool { return o&outCacheEvicted != 0 }
+
+// MultipleEvicted reports that an entry was demoted from the
+// multiple-table onto the top of the single-table to make room.
+func (o Outcome) MultipleEvicted() bool { return o&outMultEvicted != 0 }
+
+// Dropped reports that an entry fell off the bottom of the single-table:
+// the system forgot it, and its memory is already back in the arena.
+func (o Outcome) Dropped() bool { return o&outDropped != 0 }
+
+// TraceArg packs the outcome into the Arg of a hit or backward trace event
+// (obs.EncodeOutcome).
+func (o Outcome) TraceArg() int64 {
+	return obs.EncodeOutcome(int(o.From()), int(o.To()), o.CacheEvicted(), o.MultipleEvicted(), o.Dropped())
+}
+
+// String implements fmt.Stringer: "single→multiple", then the side effects.
+func (o Outcome) String() string {
+	s := o.From().String() + "→" + o.To().String()
+	if o.CacheEvicted() {
+		s += " cache-evicted"
+	}
+	if o.MultipleEvicted() {
+		s += " multiple-evicted"
+	}
+	if o.Dropped() {
+		s += " dropped"
+	}
+	return s
 }
 
 // Update is the paper's Update_Entry(Object, Location) (Fig. 8), executed
@@ -225,7 +269,7 @@ func (t *Tables) UpdateEntry(obj ids.ObjectID, e *Entry, loc ids.NodeID, now int
 		e.CalcAverage(now)
 		e.Location = loc
 		t.caching.Insert(e) // room is guaranteed: we just removed e
-		return Outcome{From: KindCaching, To: KindCaching}
+		return moved(KindCaching, KindCaching)
 
 	case KindMultiple:
 		// Part 2: multiple-table.
@@ -233,7 +277,6 @@ func (t *Tables) UpdateEntry(obj ids.ObjectID, e *Entry, loc ids.NodeID, now int
 		e.CalcAverage(now)
 		e.Location = loc
 		if t.admits(t.caching, e) {
-			out := Outcome{From: KindMultiple, To: KindCaching}
 			e.kind = KindCaching
 			if evicted := t.caching.Insert(e); evicted != nil {
 				// The demoted worst returns to the
@@ -241,12 +284,13 @@ func (t *Tables) UpdateEntry(obj ids.ObjectID, e *Entry, loc ids.NodeID, now int
 				// just left it.
 				evicted.kind = KindMultiple
 				t.multiple.Insert(evicted)
-				out.CacheEvicted = evicted
+				t.evicted = evicted.Object
+				return moved(KindMultiple, KindCaching) | outCacheEvicted
 			}
-			return out
+			return moved(KindMultiple, KindCaching)
 		}
 		t.multiple.Insert(e)
-		return Outcome{From: KindMultiple, To: KindMultiple}
+		return moved(KindMultiple, KindMultiple)
 
 	case KindSingle:
 		// Part 3: single-table.
@@ -254,23 +298,22 @@ func (t *Tables) UpdateEntry(obj ids.ObjectID, e *Entry, loc ids.NodeID, now int
 		e.CalcAverage(now)
 		e.Location = loc
 		if t.admits(t.multiple, e) {
-			out := Outcome{From: KindSingle, To: KindMultiple}
 			e.kind = KindMultiple
 			if evicted := t.multiple.Insert(e); evicted != nil {
 				// The multiple-table's worst goes on top of
 				// the single-table (Fig. 8 Part 3); the
 				// single-table has room because e just left.
 				t.pushSingle(evicted)
-				out.MultipleEvicted = evicted
+				return moved(KindSingle, KindMultiple) | outMultEvicted
 			}
-			return out
+			return moved(KindSingle, KindMultiple)
 		}
-		return Outcome{From: KindSingle, To: KindSingle, Dropped: t.pushSingle(e)}
+		return moved(KindSingle, KindSingle) | t.pushSingle(e)
 	}
 
 	// Part 4: unknown object — new entry on top of the single-table.
 	e = t.alloc(obj, loc, now)
-	return Outcome{From: KindNone, To: KindSingle, Dropped: t.pushSingle(e)}
+	return moved(KindNone, KindSingle) | t.pushSingle(e)
 }
 
 // updateLRU is the CacheAdmitAll ablation: every passing object is cached
@@ -294,30 +337,31 @@ func (t *Tables) updateLRU(obj ids.ObjectID, e *Entry, loc ids.NodeID, now int64
 		e.CalcAverage(now)
 		e.Location = loc
 	}
-	out := Outcome{From: from, To: KindCaching}
 	e.kind = KindCaching
-	if evicted := t.caching.Insert(e); evicted != nil {
-		if evicted == e {
-			// Zero-capacity cache bounced the entry itself; the
-			// system forgets it (unreachable after Validate).
-			t.forget(e)
-			out.To, out.Dropped = KindNone, e
-			return out
-		}
-		out.CacheEvicted = evicted
-		out.Dropped = t.pushSingle(evicted)
+	evicted := t.caching.Insert(e)
+	switch evicted {
+	case nil:
+		return moved(from, KindCaching)
+	case e:
+		// Zero-capacity cache bounced the entry itself; the system
+		// forgets it (unreachable after Validate).
+		t.drop(e)
+		return moved(from, KindNone) | outDropped
 	}
-	return out
+	t.evicted = evicted.Object
+	return moved(from, KindCaching) | outCacheEvicted | t.pushSingle(evicted)
 }
 
 // pushSingle puts e on top of the single-table. The entry that falls off
-// the bottom, if any, is forgotten and returned for the outcome's Dropped.
-func (t *Tables) pushSingle(e *Entry) (dropped *Entry) {
+// the bottom, if any, is forgotten and returned to the arena; the result
+// is the outcome's Dropped bit.
+func (t *Tables) pushSingle(e *Entry) Outcome {
 	e.kind = KindSingle
-	if dropped = t.single.InsertTop(e); dropped != nil {
-		t.forget(dropped)
+	if dropped := t.single.InsertTop(e); dropped != nil {
+		t.drop(dropped)
+		return outDropped
 	}
-	return dropped
+	return 0
 }
 
 // alloc hands out a fresh entry from the arena, configured for this
@@ -340,14 +384,17 @@ func (t *Tables) forget(e *Entry) {
 	e.kind = KindNone
 }
 
-// Recycle returns the entries an Update expelled from the system to the
-// arena for reuse. Call it after the last read of the outcome: the dropped
-// entry is zeroed and may back a future allocation immediately.
-func (t *Tables) Recycle(out Outcome) {
-	if out.Dropped != nil {
-		t.arena.put(out.Dropped)
-	}
+// drop forgets an entry that has left every table and returns it to the
+// arena, which may hand it out again on the next allocation.
+func (t *Tables) drop(e *Entry) {
+	t.forget(e)
+	t.arena.put(e)
 }
+
+// Evicted returns the object the latest update that reported CacheEvicted
+// demoted out of the caching table. A caller that stores payloads beside
+// the tables (the HTTP farm) deletes that object's payload.
+func (t *Tables) Evicted() ids.ObjectID { return t.evicted }
 
 // admits reports whether ordered table dst accepts candidate e: a table
 // with free space accepts anything; a full table demands the candidate beat
@@ -384,8 +431,7 @@ func (t *Tables) Invalidate(obj ids.ObjectID) bool {
 	default:
 		return false
 	}
-	t.forget(e)
-	t.arena.put(e)
+	t.drop(e)
 	return true
 }
 

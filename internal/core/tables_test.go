@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/adc-sim/adc/internal/ids"
+	"github.com/adc-sim/adc/internal/obs"
 )
 
 func newTestTables(t *testing.T, single, multiple, caching int) *Tables {
@@ -49,8 +50,8 @@ func TestUpdateCreatesInSingle(t *testing.T) {
 	// Part 4: unknown object → fresh entry on top of the single-table.
 	tbl := newTestTables(t, 4, 4, 4)
 	out := tbl.Update(1, 2, 100)
-	if out.From != KindNone || out.To != KindSingle {
-		t.Fatalf("outcome = %+v, want create-in-single", out)
+	if out.From() != KindNone || out.To() != KindSingle {
+		t.Fatalf("outcome = %v, want create-in-single", out)
 	}
 	e, kind := tbl.Lookup(1)
 	if kind != KindSingle {
@@ -67,8 +68,8 @@ func TestUpdatePromotesSingleToMultiple(t *testing.T) {
 	tbl := newTestTables(t, 4, 4, 4)
 	tbl.Update(1, 2, 100)
 	out := tbl.Update(1, 3, 150)
-	if out.From != KindSingle || out.To != KindMultiple {
-		t.Fatalf("outcome = %+v, want single→multiple", out)
+	if out.From() != KindSingle || out.To() != KindMultiple {
+		t.Fatalf("outcome = %v, want single→multiple", out)
 	}
 	e, kind := tbl.Lookup(1)
 	if kind != KindMultiple {
@@ -85,8 +86,8 @@ func TestUpdatePromotesMultipleToCaching(t *testing.T) {
 	tbl.Update(1, 2, 100)
 	tbl.Update(1, 2, 150)
 	out := tbl.Update(1, 2, 200)
-	if out.From != KindMultiple || out.To != KindCaching {
-		t.Fatalf("outcome = %+v, want multiple→caching", out)
+	if out.From() != KindMultiple || out.To() != KindCaching {
+		t.Fatalf("outcome = %v, want multiple→caching", out)
 	}
 	if !tbl.IsCached(1) {
 		t.Error("object must be cached after promotion")
@@ -101,8 +102,8 @@ func TestUpdateCachingStaysInCaching(t *testing.T) {
 	tbl.Update(1, 2, 150)
 	tbl.Update(1, 2, 200)
 	out := tbl.Update(1, 5, 5000) // huge gap — avg gets much worse
-	if out.From != KindCaching || out.To != KindCaching {
-		t.Fatalf("outcome = %+v, want caching→caching", out)
+	if out.From() != KindCaching || out.To() != KindCaching {
+		t.Fatalf("outcome = %v, want caching→caching", out)
 	}
 	e, _ := tbl.Lookup(1)
 	if e.Location != 5 {
@@ -128,11 +129,11 @@ func TestUpdateFullCacheDemotesWorst(t *testing.T) {
 	for _, now := range []int64{40, 42, 44} {
 		out := tbl.Update(2, 0, now)
 		if now == 44 {
-			if out.To != KindCaching {
-				t.Fatalf("object 2 not promoted: %+v", out)
+			if out.To() != KindCaching {
+				t.Fatalf("object 2 not promoted: %v", out)
 			}
-			if out.CacheEvicted == nil || out.CacheEvicted.Object != 1 {
-				t.Fatalf("CacheEvicted = %v, want object 1", out.CacheEvicted)
+			if !out.CacheEvicted() || tbl.Evicted() != 1 {
+				t.Fatalf("outcome %v evicted %v, want object 1", out, tbl.Evicted())
 			}
 		}
 	}
@@ -203,11 +204,11 @@ func TestUpdateFullMultipleDemotesToSingleTop(t *testing.T) {
 	// obj 2 enters multiple while it is full with obj 1.
 	tbl.Update(2, 0, 100)
 	out := tbl.Update(2, 0, 102) // avg 2, beats obj 1's key → displaces it
-	if out.From != KindSingle || out.To != KindMultiple {
-		t.Fatalf("outcome = %+v, want single→multiple", out)
+	if out.From() != KindSingle || out.To() != KindMultiple {
+		t.Fatalf("outcome = %v, want single→multiple", out)
 	}
-	if out.MultipleEvicted == nil || out.MultipleEvicted.Object != 1 {
-		t.Fatalf("MultipleEvicted = %v, want object 1", out.MultipleEvicted)
+	if !out.MultipleEvicted() {
+		t.Fatalf("outcome = %v, want a multiple-table eviction", out)
 	}
 	// Object 1 must now be on top of the single-table.
 	if _, kind := tbl.Lookup(1); kind != KindSingle {
@@ -243,11 +244,14 @@ func TestUpdateSingleOverflowDrops(t *testing.T) {
 	tbl.Update(1, 0, 1)
 	tbl.Update(2, 0, 2)
 	out := tbl.Update(3, 0, 3)
-	if out.Dropped == nil || out.Dropped.Object != 1 {
-		t.Fatalf("Dropped = %v, want object 1", out.Dropped)
+	if !out.Dropped() {
+		t.Fatalf("outcome = %v, want a single-table drop", out)
 	}
 	if _, kind := tbl.Lookup(1); kind != KindNone {
 		t.Error("dropped object still findable")
+	}
+	if _, kind := tbl.Lookup(2); kind != KindSingle {
+		t.Errorf("object 2 in %v, want single: only the bottom entry drops", kind)
 	}
 }
 
@@ -319,8 +323,8 @@ func TestTablesBoundedUnderChurn(t *testing.T) {
 }
 
 // TestBackendEquivalenceEndToEnd: the full Update state machine must behave
-// identically on every ordered-table backend — same Outcome stream (kinds
-// and moved objects) and same final table dumps, with the paper's sorted
+// identically on every ordered-table backend — same Outcome stream, same
+// evicted objects and table sizes step by step, and same final table dumps, with the paper's sorted
 // slice as the reference.
 func TestBackendEquivalenceEndToEnd(t *testing.T) {
 	mk := func(b Backend) *Tables {
@@ -329,12 +333,6 @@ func TestBackendEquivalenceEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		return tbl
-	}
-	outcomeObj := func(e *Entry) ids.ObjectID {
-		if e == nil {
-			return ^ids.ObjectID(0)
-		}
-		return e.Object
 	}
 	for _, backend := range []Backend{BackendBTree, BackendSkipList, BackendList} {
 		t.Run(backend.String(), func(t *testing.T) {
@@ -345,13 +343,14 @@ func TestBackendEquivalenceEndToEnd(t *testing.T) {
 				loc := ids.NodeID(rng.Intn(5))
 				oa := a.Update(obj, loc, i)
 				ob := b.Update(obj, loc, i)
-				if oa.From != ob.From || oa.To != ob.To {
-					t.Fatalf("step %d: outcome mismatch %+v vs %+v", i, oa, ob)
+				if oa != ob {
+					t.Fatalf("step %d: outcome mismatch %v vs %v", i, oa, ob)
 				}
-				if outcomeObj(oa.CacheEvicted) != outcomeObj(ob.CacheEvicted) ||
-					outcomeObj(oa.MultipleEvicted) != outcomeObj(ob.MultipleEvicted) ||
-					outcomeObj(oa.Dropped) != outcomeObj(ob.Dropped) {
-					t.Fatalf("step %d: moved objects mismatch %+v vs %+v", i, oa, ob)
+				if oa.CacheEvicted() && a.Evicted() != b.Evicted() {
+					t.Fatalf("step %d: evicted %v vs %v", i, a.Evicted(), b.Evicted())
+				}
+				if a.Single().Len() != b.Single().Len() || a.Multiple().Len() != b.Multiple().Len() {
+					t.Fatalf("step %d: table sizes differ", i)
 				}
 				if a.IsCached(obj) != b.IsCached(obj) {
 					t.Fatalf("step %d: IsCached mismatch for %v", i, obj)
@@ -413,15 +412,15 @@ func TestCacheAdmitAllCachesEveryPassingObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := tbl.Update(1, 0, 10)
-	if out.To != KindCaching || !tbl.IsCached(1) {
-		t.Fatalf("first sighting must be cached immediately, got %+v", out)
+	if out.To() != KindCaching || !tbl.IsCached(1) {
+		t.Fatalf("first sighting must be cached immediately, got %v", out)
 	}
 	out = tbl.Update(2, 0, 11) // a one-timer
 	if !tbl.IsCached(2) || tbl.IsCached(1) {
 		t.Error("LRU must cache the one-timer and evict the hot object")
 	}
-	if out.CacheEvicted == nil || out.CacheEvicted.Object != 1 {
-		t.Errorf("CacheEvicted = %v, want object 1", out.CacheEvicted)
+	if !out.CacheEvicted() || tbl.Evicted() != 1 {
+		t.Errorf("outcome %v evicted %v, want object 1", out, tbl.Evicted())
 	}
 	// The evicted entry keeps its routing info on the single-table.
 	if _, kind := tbl.Lookup(1); kind != KindSingle {
@@ -467,6 +466,41 @@ func TestDumpRendersPaperColumns(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestOutcomeTraceArg: every (From, To, side effects) combination reads
+// back through the accessors and encodes to the trace Arg the struct
+// outcome produced, bit for bit: To in bits 0–3, From in bits 4–7, then
+// cache-evicted, multiple-evicted and dropped. Trace files depend on it.
+func TestOutcomeTraceArg(t *testing.T) {
+	kinds := []Kind{KindNone, KindCaching, KindMultiple, KindSingle}
+	for _, from := range kinds {
+		for _, to := range kinds {
+			for flags := 0; flags < 8; flags++ {
+				ce, me, d := flags&1 != 0, flags&2 != 0, flags&4 != 0
+				o := moved(from, to)
+				want := int64(to) | int64(from)<<4
+				if ce {
+					o |= outCacheEvicted
+					want |= 1 << 8
+				}
+				if me {
+					o |= outMultEvicted
+					want |= 1 << 9
+				}
+				if d {
+					o |= outDropped
+					want |= 1 << 10
+				}
+				if o.From() != from || o.To() != to || o.CacheEvicted() != ce || o.MultipleEvicted() != me || o.Dropped() != d {
+					t.Fatalf("%v: accessors do not read back (%v, %v, %v, %v, %v)", o, from, to, ce, me, d)
+				}
+				if got := o.TraceArg(); got != want || got != obs.EncodeOutcome(int(from), int(to), ce, me, d) {
+					t.Fatalf("%v: TraceArg = %#x, want %#x", o, got, want)
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package httpproxy
 
 import (
+	"errors"
+	"io"
 	"net"
 	"net/http"
 	"time"
@@ -63,3 +65,23 @@ func NewClient() *http.Client {
 // drift between the two (they used to be two hardcoded 30 s clients) and
 // connections to a hot resolver are pooled process-wide.
 var sharedClient = NewClient()
+
+// maxBody caps how much of a peer's or the origin's response body is read.
+// Object payloads are under 64 bytes, so 1 MiB is generous; a larger body
+// comes from a faulty or hostile upstream and fails the fetch instead of
+// being buffered whole.
+const maxBody = 1 << 20
+
+var errBodyTooLarge = errors.New("httpproxy: upstream body exceeds 1 MiB")
+
+// readBody reads an upstream body of at most maxBody bytes.
+func readBody(r io.Reader) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r, maxBody+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(body) > maxBody {
+		return nil, errBodyTooLarge
+	}
+	return body, nil
+}

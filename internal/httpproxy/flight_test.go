@@ -1,10 +1,12 @@
 package httpproxy
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -342,5 +344,52 @@ func TestFlightGroupShares(t *testing.T) {
 	})
 	if !ran || shared || string(res.body) != "fresh" {
 		t.Errorf("post-completion do() must run fresh: ran=%v shared=%v body=%q", ran, shared, res.body)
+	}
+}
+
+// TestOversizedUpstreamBodyFails: an upstream that streams more than
+// maxBody fails the fetch. The client gets 502, the origin span carries the
+// error, and the proxy neither stores the payload nor learns the object.
+func TestOversizedUpstreamBodyFails(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(HeaderOrigin, "1")
+		chunk := make([]byte, 64<<10)
+		for sent := 0; sent < 4*maxBody; sent += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return // the proxy hung up
+			}
+		}
+	}))
+	defer origin.Close()
+	p := stormProxy(t, origin.URL, Config{ID: 0, Tracing: Tracing{Enabled: true}})
+
+	obj := ids.ObjectID(7)
+	if code := stormGet(t, p, obj, "oversized-1"); code != http.StatusBadGateway {
+		t.Fatalf("status %d, want %d", code, http.StatusBadGateway)
+	}
+	p.mu.Lock()
+	_, stored := p.store[obj]
+	_, kind := p.tables.Lookup(obj)
+	p.mu.Unlock()
+	if stored || kind != core.KindNone {
+		t.Errorf("oversized body left state behind: stored=%v, table %v", stored, kind)
+	}
+	annotated := false
+	for _, sp := range p.TraceDump().Spans {
+		annotated = annotated || sp.Err == errBodyTooLarge.Error()
+	}
+	if !annotated {
+		t.Errorf("no span carries %q", errBodyTooLarge)
+	}
+}
+
+// TestReadBodyCap: a body of exactly maxBody bytes is read whole, one byte
+// more fails.
+func TestReadBodyCap(t *testing.T) {
+	if b, err := readBody(strings.NewReader(strings.Repeat("x", maxBody))); err != nil || len(b) != maxBody {
+		t.Errorf("maxBody bytes: len %d, err %v", len(b), err)
+	}
+	if _, err := readBody(strings.NewReader(strings.Repeat("x", maxBody+1))); !errors.Is(err, errBodyTooLarge) {
+		t.Errorf("maxBody+1 bytes: err %v, want %v", err, errBodyTooLarge)
 	}
 }

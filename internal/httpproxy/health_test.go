@@ -197,7 +197,7 @@ func TestFailoverOriginWhenOwnerDown(t *testing.T) {
 	// White-box: teach the entry proxy that the owner holds obj.
 	entry.mu.Lock()
 	entry.localTime++
-	entry.tables.Recycle(entry.tables.Update(obj, owner.ID(), entry.localTime))
+	entry.tables.Update(obj, owner.ID(), entry.localTime)
 	entry.mu.Unlock()
 
 	if err := owner.Kill(); err != nil {
@@ -348,7 +348,7 @@ func TestFlightLeaderPeerDiesMidFetch(t *testing.T) {
 	// against a dead-but-believed-up peer, exactly the mid-fetch window.
 	entry.mu.Lock()
 	entry.localTime++
-	entry.tables.Recycle(entry.tables.Update(obj, peer.ID(), entry.localTime))
+	entry.tables.Update(obj, peer.ID(), entry.localTime)
 	entry.mu.Unlock()
 	if err := peer.Kill(); err != nil {
 		t.Fatal(err)

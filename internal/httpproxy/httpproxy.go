@@ -23,7 +23,6 @@ package httpproxy
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -638,7 +637,7 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 			p.noteHitLocked(obj)
 			prevLoc, _ = p.tables.ForwardLocation(obj)
 		}
-		p.tables.Recycle(p.tables.Update(obj, p.id, p.localTime))
+		p.tables.Update(obj, p.id, p.localTime)
 		var adv advertisement
 		if p.replica != nil {
 			adv = p.maybePushLocked(obj, prevLoc, parseNodeID(r.Header.Get(HeaderSender)))
@@ -711,19 +710,16 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 		resolver = p.id
 	}
 	out := p.tables.Update(obj, resolver, p.localTime)
-	if out.To == core.KindCaching {
-		if out.From != core.KindCaching {
+	if out.To() == core.KindCaching {
+		if out.From() != core.KindCaching {
 			p.stats.CacheInsertions++
 		}
 		p.store[obj] = res.body
 	}
-	if out.CacheEvicted != nil {
+	if out.CacheEvicted() {
 		p.stats.CacheEvictions++
-		delete(p.store, out.CacheEvicted.Object)
+		delete(p.store, p.tables.Evicted())
 	}
-	outArg := obs.EncodeOutcome(int(out.From), int(out.To),
-		out.CacheEvicted != nil, out.MultipleEvicted != nil, out.Dropped != nil)
-	p.tables.Recycle(out) // last read of the outcome
 	if p.replica != nil {
 		p.learnReplicasLocked(obj, resolver, res.hdr, res.body)
 	}
@@ -740,7 +736,7 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 		e.Obj = obj
 		e.Loc = resolver
 		e.Hops = int32(forwards)
-		e.Arg = outArg
+		e.Arg = out.TraceArg()
 		p.tracer.Emit(e)
 	}
 	p.mu.Unlock()
@@ -1006,7 +1002,7 @@ func (p *Proxy) fetch(base string, dest ids.NodeID, obj ids.ObjectID, reqID stri
 		return nil, nil, 0, fmt.Errorf("httpproxy: upstream fetch: %w", err)
 	}
 	defer resp.Body.Close() //nolint:errcheck // read side
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp.Body)
 	if err != nil {
 		sc.recordID(spanID, spanStage, start, obj, dest.String(), err.Error())
 		return nil, nil, 0, fmt.Errorf("httpproxy: read upstream body: %w", err)

@@ -300,17 +300,15 @@ func (p *Proxy) rollWindowLocked() {
 }
 
 // recordOutcomeLocked applies a table-update outcome's side effects: the
-// cache counters, payload-store deletions for demoted residents, and entry
-// recycling.
+// cache counters and the payload-store deletion for a demoted resident.
 func (p *Proxy) recordOutcomeLocked(out core.Outcome) {
-	if out.To == core.KindCaching && out.From != core.KindCaching {
+	if out.To() == core.KindCaching && out.From() != core.KindCaching {
 		p.stats.CacheInsertions++
 	}
-	if out.CacheEvicted != nil {
+	if out.CacheEvicted() {
 		p.stats.CacheEvictions++
-		delete(p.store, out.CacheEvicted.Object)
+		delete(p.store, p.tables.Evicted())
 	}
-	p.tables.Recycle(out)
 }
 
 // forwardAddrReplicatedLocked is Forward_Addr with location sets: among the

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/ids"
@@ -87,13 +88,26 @@ func TestInitFromMatchesReplyTo(t *testing.T) {
 		Path: []ids.NodeID{0, 2}, Hops: 3, MaxHops: 8,
 	}
 	want := ReplyTo(req)
+	// Stale state in every field must be overwritten, including fields
+	// added to Reply after InitFrom was written.
 	var got Reply
-	got.Cached = true // stale state must be overwritten
+	v := reflect.ValueOf(&got).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int32, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Uint64:
+			f.SetUint(7)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		default:
+			t.Fatalf("field %s: kind %v not covered by this test", v.Type().Field(i).Name, f.Kind())
+		}
+	}
 	got.InitFrom(req)
-	if got.ID != want.ID || got.Object != want.Object || got.Client != want.Client ||
-		got.Resolver != want.Resolver || got.Cached != want.Cached ||
-		got.FromOrigin != want.FromOrigin || got.Hops != want.Hops ||
-		got.PathLen != want.PathLen || len(got.Path) != len(want.Path) {
+	if !reflect.DeepEqual(got, *want) {
 		t.Errorf("InitFrom = %+v, ReplyTo = %+v", got, *want)
 	}
 }

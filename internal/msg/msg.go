@@ -142,16 +142,15 @@ func (r *Reply) NextBackward() (ids.NodeID, bool) {
 // recorded path. It overwrites every field, so a recycled reply comes out
 // identical to a fresh one. The request's Path backing array transfers to
 // the reply: callers recycling req must nil req.Path afterwards.
+//
+// It runs once per resolved request, so it assigns field by field: a
+// composite literal is built on the stack and block-copied into r, and the
+// copy's wide loads stall on the literal's narrow stores.
 func (r *Reply) InitFrom(req *Request) {
-	*r = Reply{
-		ID:       req.ID,
-		Object:   req.Object,
-		Client:   req.Client,
-		Resolver: ids.None,
-		Path:     req.Path,
-		Hops:     req.Hops,
-		PathLen:  len(req.Path),
-	}
+	r.To, r.ID, r.Object, r.Client, r.Resolver = 0, req.ID, req.Object, req.Client, ids.None
+	r.Cached, r.FromOrigin, r.Replicate = false, false, false
+	r.Path, r.Replicas, r.AvgHint = req.Path, nil, 0
+	r.Hops, r.PathLen = req.Hops, len(req.Path)
 }
 
 // ReplyTo builds the reply for req, initialized to retrace the request's

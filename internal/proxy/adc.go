@@ -258,7 +258,7 @@ func (p *ADC) receiveRequest(ctx sim.Context, req *msg.Request) {
 			e.Obj = req.Object
 			e.Loc = p.id
 			e.Hops = int32(req.Hops)
-			e.Arg = encodeOutcome(out)
+			e.Arg = out.TraceArg()
 			p.tracer.Emit(e)
 		}
 		p.recordOutcome(out)
@@ -384,7 +384,7 @@ func (p *ADC) receiveReply(ctx sim.Context, rep *msg.Reply) {
 	learned := rep.Resolver
 	out := p.tables.Update(rep.Object, rep.Resolver, p.localTime)
 	p.recordOutcome(out)
-	cached := out.To == core.KindCaching
+	cached := out.To() == core.KindCaching
 	if p.replica != nil {
 		// The controller may adopt or shed the object; ask again.
 		p.learnReplicas(rep)
@@ -425,7 +425,7 @@ func (p *ADC) receiveReply(ctx sim.Context, rep *msg.Reply) {
 		e.To = next
 		e.Loc = learned
 		e.Hops = int32(rep.Hops)
-		e.Arg = encodeOutcome(out)
+		e.Arg = out.TraceArg()
 		p.tracer.Emit(e)
 	}
 	ctx.Send(rep)
@@ -523,20 +523,11 @@ func (p *ADC) popExpiry() {
 	}
 }
 
-// encodeOutcome packs a table-update outcome into a trace-event Arg.
-func encodeOutcome(out core.Outcome) int64 {
-	return obs.EncodeOutcome(int(out.From), int(out.To),
-		out.CacheEvicted != nil, out.MultipleEvicted != nil, out.Dropped != nil)
-}
-
 func (p *ADC) recordOutcome(out core.Outcome) {
-	if out.To == core.KindCaching && out.From != core.KindCaching {
+	if out.To() == core.KindCaching && out.From() != core.KindCaching {
 		p.stats.CacheInsertions++
 	}
-	if out.CacheEvicted != nil {
+	if out.CacheEvicted() {
 		p.stats.CacheEvictions++
 	}
-	// Last reader of the outcome: entries the tables forgot go back to
-	// the arena.
-	p.tables.Recycle(out)
 }

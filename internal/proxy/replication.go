@@ -324,7 +324,7 @@ func (p *ADC) forwardAddrReplicated(entry *core.Entry) (to ids.NodeID, viaTable 
 		p.replica.addLoad(to)
 		return to, false
 	}
-	loc, replicas := entry.Location, entry.Replicas
+	loc, replicas := entry.Location, entry.Replicas()
 	// Candidates: every known holder that is not this proxy.
 	var buf [9]ids.NodeID // MaxReplicas is small; 9 covers loc + 8 replicas
 	cand := buf[:0]

@@ -301,7 +301,7 @@ func (e *PEngine) mergeSerial() {
 		em := &best.emits[best.mergeHead]
 		best.mergeHead++
 		e.seq++
-		e.shards[em.dest].pq.push(event{at: em.at, seq: e.seq, m: em.m})
+		e.shards[em.dest].pq.push(em.at, e.seq, em.m, serviceNone)
 		em.m = nil
 	}
 	for _, s := range e.shards {
@@ -333,16 +333,17 @@ func (s *pshard) loop() {
 func (s *pshard) exec(t int64) {
 	s.now = t
 	for s.pq.Len() > 0 && s.pq.ev[0].at == t {
-		ev := s.pq.pop()
-		n, ok := s.eng.nodes.Get(ev.m.Dest())
+		seq, m := s.pq.ev[0].seq, s.pq.ev[0].m
+		s.pq.removeTop()
+		n, ok := s.eng.nodes.Get(m.Dest())
 		if !ok {
-			s.err = fmt.Errorf("sim: message for unregistered node %v", ev.m.Dest())
+			s.err = fmt.Errorf("sim: message for unregistered node %v", m.Dest())
 			return
 		}
 		s.delivered++
-		s.curSeq = ev.seq
+		s.curSeq = seq
 		s.current = n.ID()
-		n.Handle(s, ev.m)
+		n.Handle(s, m)
 		s.current = ids.None
 	}
 }
@@ -380,7 +381,7 @@ func (s *pshard) pushMerged() {
 	for _, o := range s.eng.shards {
 		for i := range o.emits {
 			if em := &o.emits[i]; em.dest == int32(s.idx) {
-				s.pq.push(event{at: em.at, seq: em.seq, m: em.m})
+				s.pq.push(em.at, em.seq, em.m, serviceNone)
 			}
 		}
 	}
@@ -410,7 +411,7 @@ func (s *pshard) schedule(delay int64, m msg.Message) {
 		// Single-threaded Start phase: assign the global sequence number
 		// immediately, exactly as VEngine does for pre-run Sends.
 		e.seq++
-		e.shards[e.part.ShardOf(m.Dest())].pq.push(event{at: s.now + delay, seq: e.seq, m: m})
+		e.shards[e.part.ShardOf(m.Dest())].pq.push(s.now+delay, e.seq, m, serviceNone)
 		return
 	}
 	s.emits = append(s.emits, pemit{

@@ -82,9 +82,9 @@ type Scheduler interface {
 // break by enqueue sequence).
 //
 // The event queue is an inlined 4-ary min-heap over a flat []event slice:
-// no container/heap indirection and no interface boxing on push/pop, and
-// the wider fan-out halves tree depth versus a binary heap, trading a few
-// extra comparisons (cheap, cache-resident) for fewer swaps and levels.
+// no container/heap indirection and no interface boxing, and the wider
+// fan-out halves tree depth versus a binary heap, trading a few extra
+// comparisons (cheap, cache-resident) for fewer moves and levels.
 // Dispatch and message management share the dense-table/freelist design of
 // Engine.
 type VEngine struct {
@@ -253,7 +253,7 @@ func (e *VEngine) Send(m msg.Message) {
 		}
 	}
 	e.seq++
-	e.pq.push(event{at: e.now + delay, seq: e.seq, m: m, net: true})
+	e.pq.push(e.now+delay, e.seq, m, serviceWait)
 }
 
 // After implements Scheduler.
@@ -266,7 +266,7 @@ func (e *VEngine) After(delay int64, m msg.Message) {
 
 func (e *VEngine) schedule(delay int64, m msg.Message) {
 	e.seq++
-	e.pq.push(event{at: e.now + delay, seq: e.seq, m: m})
+	e.pq.push(e.now+delay, e.seq, m, serviceNone)
 }
 
 // AcquireRequest implements Recycler.
@@ -306,48 +306,48 @@ func (e *VEngine) Run() error {
 	})
 	e.current = ids.None
 	for len(e.pq.ev) > 0 {
-		ev := e.pq.pop()
-		e.now = ev.at
+		top := &e.pq.ev[0]
+		at, seq, m, svc := top.at, top.seq, top.m, top.svc
+		e.pq.removeTop()
+		e.now = at
 		if e.faults != nil {
-			if ctl, ok := ev.m.(*faultCtl); ok {
+			if ctl, ok := m.(*faultCtl); ok {
 				e.applyFaultCtl(ctl)
 				continue
 			}
-			if e.faults.down[ev.m.Dest()] {
+			if e.faults.down[m.Dest()] {
 				// Fail-stop: a crashed node receives nothing. The
 				// message dies at delivery (it left the sender long
 				// ago) and is never recycled.
 				e.dropped++
 				e.faults.stats.CrashDrops++
-				e.traceDrop(ids.None, ev.m, obs.DropCrash)
+				e.traceDrop(ids.None, m, obs.DropCrash)
 				continue
 			}
 		}
-		if e.busy != nil && ev.net && !ev.served {
+		if e.busy != nil && svc == serviceWait {
 			// Queued service: the message starts service when the
 			// receiver frees up, completes Service later, and is
 			// handled at completion. Re-queuing keeps the original
 			// sequence number, so per-node FIFO order is preserved.
-			start := ev.at
-			if b := e.busy[ev.m.Dest()]; b > start {
+			start := at
+			if b := e.busy[m.Dest()]; b > start {
 				start = b
 			}
 			done := start + e.latency.Service
-			e.busy[ev.m.Dest()] = done
-			if done > ev.at {
-				ev.at = done
-				ev.served = true
-				e.pq.push(ev)
+			e.busy[m.Dest()] = done
+			if done > at {
+				e.pq.push(done, seq, m, serviceDone)
 				continue
 			}
 		}
-		n, ok := e.nodes.Get(ev.m.Dest())
+		n, ok := e.nodes.Get(m.Dest())
 		if !ok {
-			return fmt.Errorf("sim: message for unregistered node %v", ev.m.Dest())
+			return fmt.Errorf("sim: message for unregistered node %v", m.Dest())
 		}
 		e.delivered++
 		e.current = n.ID()
-		n.Handle(e, ev.m)
+		n.Handle(e, m)
 		e.current = ids.None
 	}
 	return nil
@@ -378,58 +378,86 @@ type event struct {
 	at  int64
 	seq uint64
 	m   msg.Message
-	// net marks a network transfer (Send), the only events the
-	// QueueService model serializes; served marks a transfer that has
-	// already been assigned its service-completion slot.
-	net    bool
-	served bool
+	svc service
 }
 
-// before is the total order events are delivered in: timestamp, then
-// enqueue sequence. (at, seq) pairs are unique, so the heap's internal
-// shape never influences the delivery sequence — a 4-ary heap delivers
-// byte-identical results to the binary container/heap it replaced.
-func (a event) before(b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// service is an event's state under the QueueService model. It is one
+// byte, not two flags, so reading it never spans two separate stores.
+type service uint8
+
+const (
+	// serviceNone marks events the model never serializes: timers
+	// (After), and every event of an engine without the model.
+	serviceNone service = iota
+	// serviceWait marks a network transfer (Send) still to be assigned
+	// its service slot at the receiver.
+	serviceWait
+	// serviceDone marks a transfer already assigned its
+	// service-completion slot.
+	serviceDone
+)
+
+// precedes reports whether an event at (at, seq) is delivered before e.
+// That is the total order of delivery: timestamp, then enqueue sequence.
+// (at, seq) pairs are unique, so the heap's internal shape never
+// influences the delivery sequence — a 4-ary heap delivers byte-identical
+// results to the binary container/heap it replaced.
+func (e *event) precedes(at int64, seq uint64) bool {
+	return e.at < at || e.at == at && e.seq < seq
+}
+
+// copyFrom copies s field by field. A whole-struct copy reads the event
+// with 16-byte loads, which stall when s was written by push's narrow
+// stores moments ago — the usual case for a small closed-loop queue.
+func (e *event) copyFrom(s *event) {
+	e.at, e.seq, e.m, e.svc = s.at, s.seq, s.m, s.svc
 }
 
 // eventQueue is a flat 4-ary min-heap over (at, seq). Children of slot i
-// sit at 4i+1..4i+4, its parent at (i-1)/4. Push and pop operate directly
-// on the typed slice — no any-boxing, no interface dispatch.
+// sit at 4i+1..4i+4, its parent at (i-1)/4.
+//
+// The per-event path never assembles an event on the stack: push takes the
+// fields as arguments and writes them straight into the slot the sift
+// ends at, and the engines read the root's fields in place before
+// removeTop. A 40-byte event built from narrow stores and copied with wide
+// loads costs a store-forwarding stall per event (DESIGN.md §7). Both
+// sifts move a hole instead of swapping, so each level costs one slot copy.
 type eventQueue struct {
 	ev []event
 }
 
-// Len returns the number of queued events (test support).
+// Len returns the number of queued events.
 func (q *eventQueue) Len() int { return len(q.ev) }
 
-func (q *eventQueue) push(e event) {
-	q.ev = append(q.ev, e)
-	// Sift up.
-	ev := q.ev
-	i := len(ev) - 1
+// push enqueues an event.
+func (q *eventQueue) push(at int64, seq uint64, m msg.Message, svc service) {
+	n := len(q.ev)
+	if n == cap(q.ev) {
+		q.ev = append(q.ev, event{})
+	}
+	ev := q.ev[:n+1]
+	q.ev = ev
+	// Sift the hole at n up past every parent that comes later.
+	i := n
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !ev[i].before(ev[p]) {
+		if ev[p].precedes(at, seq) {
 			break
 		}
-		ev[i], ev[p] = ev[p], ev[i]
+		ev[i].copyFrom(&ev[p])
 		i = p
 	}
+	s := &ev[i]
+	s.at, s.seq, s.m, s.svc = at, seq, m, svc
 }
 
-func (q *eventQueue) pop() event {
+// removeTop drops the earliest event. The caller reads it at ev[0] first.
+func (q *eventQueue) removeTop() {
 	ev := q.ev
-	root := ev[0]
 	n := len(ev) - 1
-	ev[0] = ev[n]
-	ev[n] = event{} // release the message reference
-	q.ev = ev[:n]
-	// Sift down.
-	ev = q.ev
+	// Sift the hole at the root down, re-placing the last event.
+	last := &ev[n]
+	at, seq := last.at, last.seq
 	i := 0
 	for {
 		c := i<<2 + 1
@@ -437,20 +465,18 @@ func (q *eventQueue) pop() event {
 			break
 		}
 		best := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if ev[j].before(ev[best]) {
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if ev[j].precedes(ev[best].at, ev[best].seq) {
 				best = j
 			}
 		}
-		if !ev[best].before(ev[i]) {
+		if !ev[best].precedes(at, seq) {
 			break
 		}
-		ev[i], ev[best] = ev[best], ev[i]
+		ev[i].copyFrom(&ev[best])
 		i = best
 	}
-	return root
+	ev[i].copyFrom(last)
+	*last = event{} // release the message reference
+	q.ev = ev[:n]
 }
